@@ -476,29 +476,40 @@ GrDB::SubblockRef GrDB::pin_subblock(int level, std::uint64_t subblock,
   if (snap != nullptr) {
     // Snapshot read.  Versions first: a block mutated after the pin MUST
     // serve its shelved pre-image, whatever the live/mapped bytes say.
-    if (auto ver = versions_.lookup(key, snap->epoch())) {
-      ++stats_.txn_snapshot_reads;
-      ref.view = std::span<const std::byte>(ver->data(), ver->size());
-      ref.keepalive = std::move(ver);
-      return ref;
+    // A version is the whole block (one capture covers all its
+    // sub-blocks) and is read at block_offset; the mapped and live
+    // copies hold just this sub-block and are read at offset 0.
+    const std::uint64_t bytes = levels_[level].spec.subblock_bytes();
+    if (mmap_enabled_ && mapped_active_.load(std::memory_order_acquire)) {
+      if (auto ver = versions_.lookup(key, snap->epoch())) {
+        ++stats_.txn_snapshot_reads;
+        ref.view = std::span<const std::byte>(ver->data(), ver->size());
+        ref.keepalive = std::move(ver);
+        return ref;
+      }
+      // Then the sealed mapping (copy + revalidate — dodges the cache and
+      // its mutex entirely, which is where concurrent readers win).
+      if (auto copy = mapped_snapshot_copy(level, addr, key, bytes)) {
+        ++stats_.txn_snapshot_reads;
+        ref.offset = 0;
+        ref.view = std::span<const std::byte>(copy->data(), copy->size());
+        ref.keepalive = std::move(copy);
+        return ref;
+      }
     }
-    // Then the sealed mapping (copy + revalidate — dodges the cache and
-    // its mutex entirely, which is where concurrent readers win).
-    if (auto copy = mapped_snapshot_copy(level, addr.block, key)) {
-      ++stats_.txn_snapshot_reads;
-      ref.view = std::span<const std::byte>(copy->data(), copy->size());
-      ref.keepalive = std::move(copy);
-      return ref;
-    }
-    // Else an atomic live copy: VersionStore::read holds the version
-    // mutex across the copy, so a writer's first mutation of this block
-    // this epoch (whose capture needs that mutex) cannot begin mid-copy.
+    // Else the version or an atomic live copy: VersionStore::read holds
+    // the version mutex across the copy, so a writer's first mutation of
+    // this block this epoch (whose capture needs that mutex) cannot begin
+    // mid-copy.
+    bool live = false;
     auto copy = versions_.read(key, snap->epoch(), [&] {
+      live = true;
       BlockHandle h = cache_.get(levels_[level].store_id, addr.block);
-      const auto data = h.data();
-      return std::vector<std::byte>(data.begin(), data.end());
+      const auto sub = h.data().subspan(addr.block_offset, bytes);
+      return std::vector<std::byte>(sub.begin(), sub.end());
     });
     ++stats_.txn_snapshot_reads;
+    if (live) ref.offset = 0;
     ref.view = std::span<const std::byte>(copy->data(), copy->size());
     ref.keepalive = std::move(copy);
     return ref;
@@ -551,21 +562,18 @@ void GrDB::capture_version(int level, std::uint64_t block,
 }
 
 std::shared_ptr<const std::vector<std::byte>> GrDB::mapped_snapshot_copy(
-    int level, std::uint64_t block, std::uint64_t key) {
-  if (!mmap_enabled_ ||
-      !mapped_active_.load(std::memory_order_acquire)) {
-    return nullptr;
-  }
+    int level, const grdb::SubblockAddress& addr, std::uint64_t key,
+    std::uint64_t bytes) {
   {
     std::lock_guard<std::mutex> lk(stale_mu_);
     if (cow_since_map_.contains(key)) return nullptr;
   }
   const DynamicBitset& init = mapped_init_[level];
-  if (block >= init.size() || !init.test(block)) return nullptr;
-  const std::span<const std::byte> view = mapped_[level]->block(block);
+  if (addr.block >= init.size() || !init.test(addr.block)) return nullptr;
+  const std::span<const std::byte> view = mapped_[level]->block(addr.block);
   if (view.empty()) return nullptr;
-  auto copy =
-      std::make_shared<std::vector<std::byte>>(view.begin(), view.end());
+  const auto sub = view.subspan(addr.block_offset, bytes);
+  auto copy = std::make_shared<std::vector<std::byte>>(sub.begin(), sub.end());
   {
     // Revalidate after the copy: if the block was COW-captured while we
     // copied, a subsequent eviction/flush may have been rewriting the

@@ -144,8 +144,9 @@ class GrDB final : public GraphDB {
   /// On the sealed mmap path `view` is set instead of `handle` — the
   /// entries read directly from the mapping, no cache frame involved;
   /// such refs are read-only (set() asserts).  Snapshot reads set `view`
-  /// over `keepalive`, a refcounted immutable block image (a COW
-  /// pre-image or a pinned-epoch copy) that outlives any purge.
+  /// over `keepalive`, a refcounted immutable image that outlives any
+  /// purge: a whole-block COW pre-image (read at `offset`), or a copy of
+  /// just this sub-block (`offset` 0).
   struct SubblockRef {
     BlockHandle handle;
     std::span<const std::byte> view;  ///< zero-copy mapped block, or empty
@@ -194,14 +195,16 @@ class GrDB final : public GraphDB {
   /// open epoch's pre-image, once per (block, epoch).  Runs before every
   /// mutable pin while snapshots are enabled.
   void capture_version(int level, std::uint64_t block, std::uint64_t key);
-  /// Snapshot read from the sealed mapping: copy-then-revalidate.  The
-  /// block must have been initialized at map time (frozen bitmap) and
-  /// never COW-captured since the map (cow_since_map_) — checked again
-  /// after the copy, so a racing first mutation (whose eviction/flush
-  /// could rewrite the mapped file bytes mid-copy) discards the copy and
-  /// falls back.  Returns nullptr to decline.
+  /// Snapshot read from the sealed mapping (caller checked it is
+  /// active): copy-then-revalidate of the `bytes`-long sub-block at
+  /// `addr`.  The block must have been initialized at map time (frozen
+  /// bitmap) and never COW-captured since the map (cow_since_map_) —
+  /// checked again after the copy, so a racing first mutation (whose
+  /// eviction/flush could rewrite the mapped file bytes mid-copy)
+  /// discards the copy and falls back.  Returns nullptr to decline.
   std::shared_ptr<const std::vector<std::byte>> mapped_snapshot_copy(
-      int level, std::uint64_t block, std::uint64_t key);
+      int level, const grdb::SubblockAddress& addr, std::uint64_t key,
+      std::uint64_t bytes);
   /// Commit boundary bookkeeping: advances the epoch and purges
   /// versions no live snapshot can read.
   void commit_epoch();

@@ -40,7 +40,8 @@ ExternalMetadata::ExternalMetadata(const std::filesystem::path& path,
          }
          std::memset(page.data(), 0, page.size());
        },
-       kUsableBytes});
+       kUsableBytes,
+       /*write_barrier=*/{}});
 }
 
 Metadata ExternalMetadata::get(VertexId v) {

@@ -1,6 +1,7 @@
 #include "query/vertex_program.hpp"
 
 #include <algorithm>
+#include <string>
 #include <unordered_map>
 
 #include "common/error.hpp"
@@ -190,8 +191,13 @@ void VertexProgramEngine::exchange(Sink& sink) {
     comm_.send(q, kVertexProgramTag, pack_pairs(wire_scratch));
     ++stats_.fringe_messages;
   }
-  // Merge in rank order (not arrival order) so every counter — and
-  // every order-sensitive fold — is a pure function of the inputs.
+  // The inbox leaves here sorted, so each target's value group is
+  // ascending — a deterministic fold order regardless of sender count or
+  // arrival.  Only the self bucket needs a sort: encode_pair_set sorts
+  // every peer's run before the wire, so those merge in linear time.
+  // Merging in rank order (not arrival order) keeps every counter a pure
+  // function of the inputs.
+  std::sort(inbox_.begin(), inbox_.end());
   std::vector<VertexPair> received;
   for (Rank q = 0; q < p; ++q) {
     if (q == comm_.rank()) continue;
@@ -201,14 +207,18 @@ void VertexProgramEngine::exchange(Sink& sink) {
       options_.metrics->histogram("codec.decode_bytes")
           .record(msg.payload.size());
     }
+    if (!std::is_sorted(received.begin(), received.end())) {
+      throw FormatError("vertex program: unsorted message run from rank " +
+                        std::to_string(q));
+    }
+    const auto mid = static_cast<std::ptrdiff_t>(inbox_.size());
     inbox_.insert(inbox_.end(), received.begin(), received.end());
+    std::inplace_merge(inbox_.begin(), inbox_.begin() + mid, inbox_.end());
   }
 }
 
 void VertexProgramEngine::apply_inbox(VertexProgram& program) {
-  // Sort delivered pairs so each target's value group is ascending —
-  // deterministic fold order regardless of sender count or arrival.
-  std::sort(inbox_.begin(), inbox_.end());
+  // exchange() left the inbox sorted.
   stats_.messages_delivered += inbox_.size();
   next_frontier_.clear();
   if (next_active_.size() < ids_.size()) next_active_.resize(ids_.size() * 2);

@@ -14,12 +14,13 @@
 //                   messages into per-owner buckets.
 //     2. exchange — one message per peer per superstep (empty allowed),
 //                   buckets shipped through the vertex_codec pair wire
-//                   (sort + delta + LEB128 with raw passthrough) and
-//                   merged in RANK ORDER, not arrival order, so every
-//                   counter and every floating-point reduction is a
-//                   pure function of the inputs.
-//     3. apply    — delivered messages are sorted and grouped by target
-//                   vertex; the kernel folds each group into the
+//                   (sort + delta + LEB128 with raw passthrough).  The
+//                   self bucket is sorted, then each peer's already
+//                   sorted run is merged in RANK ORDER, not arrival
+//                   order, so every counter and every floating-point
+//                   reduction is a pure function of the inputs.
+//     3. apply    — the sorted inbox is grouped by target vertex; the
+//                   kernel folds each group into the
 //                   vertex's state and votes whether the vertex is
 //                   active next superstep.  The next frontier is
 //                   tracked in a DynamicBitset over state slots.

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <set>
+#include <span>
+#include <string>
+#include <vector>
 
 #include "common/bitset.hpp"
+#include "common/crc32c.hpp"
 #include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/serial.hpp"
@@ -201,6 +206,65 @@ TEST(Bitset, CountMatchesReferenceOnRandomPattern) {
   EXPECT_EQ(bits.count(), reference.size());
   for (std::size_t i = 0; i < 513; ++i) {
     EXPECT_EQ(bits.test(i), reference.contains(i));
+  }
+}
+
+// ---- Crc32c ----------------------------------------------------------------
+
+std::uint32_t crc_of(const std::vector<std::uint8_t>& bytes) {
+  return crc32c(std::as_bytes(std::span(bytes)));
+}
+
+// RFC 3720 appendix B.4 known answers.
+TEST(Crc32c, Rfc3720KnownAnswers) {
+  EXPECT_EQ(crc_of(std::vector<std::uint8_t>(32, 0x00)), 0x8A9136AAu);
+  EXPECT_EQ(crc_of(std::vector<std::uint8_t>(32, 0xFF)), 0x62A8AB43u);
+  std::vector<std::uint8_t> ascending(32);
+  std::vector<std::uint8_t> descending(32);
+  for (std::uint8_t i = 0; i < 32; ++i) {
+    ascending[i] = i;
+    descending[i] = static_cast<std::uint8_t>(31 - i);
+  }
+  EXPECT_EQ(crc_of(ascending), 0x46DD794Eu);
+  EXPECT_EQ(crc_of(descending), 0x113FDB5Cu);
+}
+
+TEST(Crc32c, CheckValue) {
+  const std::string check = "123456789";
+  EXPECT_EQ(crc32c(std::as_bytes(std::span(check))), 0xE3069283u);
+}
+
+// Whichever implementation the CPU dispatch picked must agree with the
+// table loop on every length around the 8-byte word loop and at every
+// alignment of the start.
+TEST(Crc32c, DispatchedMatchesPortable) {
+  Rng rng(7);
+  std::vector<std::byte> buffer(257 + 8);
+  for (auto& b : buffer) b = static_cast<std::byte>(rng());
+  for (std::size_t start = 0; start < 8; ++start) {
+    for (std::size_t len = 0; len <= 257; ++len) {
+      const auto data = std::span<const std::byte>(buffer).subspan(start, len);
+      ASSERT_EQ(crc32c(data), detail::crc32c_portable(data))
+          << "start " << start << " length " << len;
+      ASSERT_EQ(crc32c(data, 0x12345678u),
+                detail::crc32c_portable(data, 0x12345678u))
+          << "seeded, start " << start << " length " << len;
+    }
+  }
+}
+
+TEST(Crc32c, SeedChainsConcatenation) {
+  Rng rng(11);
+  std::vector<std::byte> buffer(300);
+  for (auto& b : buffer) b = static_cast<std::byte>(rng());
+  const std::span<const std::byte> all(buffer);
+  for (const std::size_t split : {0, 1, 7, 8, 9, 64, 299, 300}) {
+    const auto a = all.first(split);
+    const auto b = all.subspan(split);
+    EXPECT_EQ(crc32c(b, crc32c(a)), crc32c(all)) << "split " << split;
+    EXPECT_EQ(detail::crc32c_portable(b, detail::crc32c_portable(a)),
+              crc32c(all))
+        << "split " << split;
   }
 }
 

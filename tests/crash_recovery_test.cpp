@@ -291,7 +291,9 @@ void run_group_commit_sweep(Backend backend, GraphDBConfig config) {
   // A fine-grained sweep crosses the second group's window, where a
   // crash rolls back to the slice-2 boundary (not all the way to the
   // baseline).  Coarser sanitizer strides may step over it.
-  if (stride == 1) EXPECT_TRUE(saw_mid_boundary);
+  if (stride == 1) {
+    EXPECT_TRUE(saw_mid_boundary);
+  }
   injector.clear();
 }
 

@@ -19,6 +19,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -141,8 +142,10 @@ TEST(MappedBlockSource, FailingVerifierStaysFailing) {
                            " failed sidecar checksum");
       });
   source.attach(0, MappedFile::map_readonly(path));
-  EXPECT_THROW(source.block(0), StorageError);
-  EXPECT_THROW(source.block(0), StorageError);
+  std::span<const std::byte> view;
+  EXPECT_THROW(view = source.block(0), StorageError);
+  EXPECT_THROW(view = source.block(0), StorageError);
+  EXPECT_TRUE(view.empty());  // a rejected block never hands out bytes
   // The verified bit latches only on success: corrupt blocks are
   // re-checked (and re-rejected) on every read, never waved through.
   EXPECT_EQ(attempts, 2);

@@ -19,12 +19,16 @@
 
 #include <algorithm>
 #include <atomic>
+#include <filesystem>
+#include <memory>
 #include <mutex>
 #include <optional>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "graphdb/grdb/grdb.hpp"
+#include "graphdb/metadata_store.hpp"
 #include "storage/snapshot.hpp"
 #include "test_util.hpp"
 
@@ -256,6 +260,91 @@ TEST(SnapshotCowGrdb, CapturesCountedOncePerBlockPerEpoch) {
     EXPECT_EQ(adj.size(), 100u);
   }
   EXPECT_GT(db->io_stats().txn_snapshot_reads, 0u);
+}
+
+// A snapshot read copies one sub-block, not its whole block: live and
+// mapped copies are read at offset 0, shelved whole-block pre-images at
+// the sub-block's offset in its block.  This geometry packs 32 level-3
+// sub-blocks per 4 KiB block, so two vertices grown into level 3 keep
+// their chain tails side by side in one block, and a wrong offset on
+// any path reads the sibling's entries.  Runs over the cache (live
+// copies) and with the sealed mapping (mapped copies).
+TEST(SnapshotCowGrdb, DeepSubblockReadsKeepTheirOffsets) {
+  for (const bool mmap : {false, true}) {
+    SCOPED_TRACE(mmap ? "mmap_sealed" : "cache");
+    TempDir dir;
+    GraphDBConfig config;
+    config.dir = dir.path();
+    config.snapshots = true;
+    config.mmap_sealed = mmap;
+    std::filesystem::create_directories(config.dir);
+    GrDBOptions options;
+    options.geometry.levels = {
+        grdb::LevelSpec{2, 4096},  grdb::LevelSpec{4, 4096},
+        grdb::LevelSpec{8, 4096},  grdb::LevelSpec{16, 4096},
+        grdb::LevelSpec{32, 4096}, grdb::LevelSpec{64, 4096}};
+    GrDB db(config, std::make_unique<InMemoryMetadata>(), options);
+
+    // 20 neighbors each: levels 0-2 hold 1 + 3 + 7 of them, the other 9
+    // sit in a level-3 tail with room to spare.
+    constexpr VertexId kA = 5;
+    constexpr VertexId kB = 9;
+    std::vector<VertexId> a_adj;
+    std::vector<VertexId> b_adj;
+    std::vector<Edge> edges;
+    for (VertexId i = 0; i < 20; ++i) {
+      a_adj.push_back(100 + i);
+      b_adj.push_back(200 + i);
+      edges.push_back(Edge{kA, 100 + i});
+      edges.push_back(Edge{kB, 200 + i});
+    }
+    db.store_edges(edges);
+    db.flush();  // commit epoch 1
+    if (mmap) {
+      EXPECT_GT(db.io_stats().mmap_maps, 0u);
+    }
+    ASSERT_EQ(db.allocated_subblocks(3), 2u);  // both in level-3 block 0
+    ASSERT_EQ(db.allocated_subblocks(4), 0u);
+
+    const auto read = [&db](VertexId v, SnapshotRef snap) {
+      SnapshotScope scope(std::move(snap));  // null: a live read
+      std::vector<VertexId> adj;
+      db.get_adjacency(v, adj);
+      return sorted(adj);
+    };
+
+    SnapshotRef pin = db.begin_snapshot();
+    ASSERT_NE(pin, nullptr);
+    const std::uint64_t reads_before = db.io_stats().txn_snapshot_reads;
+    // No version shelved yet: every sub-block is a live or mapped copy.
+    EXPECT_EQ(read(kA, pin), a_adj);
+    EXPECT_EQ(read(kB, pin), b_adj);
+    EXPECT_GT(db.io_stats().txn_snapshot_reads, reads_before);
+
+    // Mutate B's level-3 tail: the first mutation shelves the whole
+    // block, so both tails now serve from the pre-image.
+    const std::uint64_t cow_before = db.io_stats().txn_cow_pages;
+    db.store_edges(std::vector<Edge>{{kB, 300}});
+    EXPECT_EQ(db.allocated_subblocks(3), 2u);
+    EXPECT_EQ(db.allocated_subblocks(4), 0u);
+    EXPECT_GT(db.io_stats().txn_cow_pages, cow_before);
+    std::vector<VertexId> b_new = b_adj;
+    b_new.push_back(300);
+
+    EXPECT_EQ(read(kA, pin), a_adj);
+    EXPECT_EQ(read(kB, pin), b_adj);  // the pre-image, not the append
+    EXPECT_EQ(read(kA, nullptr), a_adj);
+    EXPECT_EQ(read(kB, nullptr), b_new);
+
+    db.flush();  // commit epoch 2 (and remap, with mmap on)
+    EXPECT_EQ(read(kA, pin), a_adj);
+    EXPECT_EQ(read(kB, pin), b_adj);
+    // A pin of the new epoch copies the new bytes of the same block.
+    SnapshotRef next = db.begin_snapshot();
+    EXPECT_EQ(read(kA, next), a_adj);
+    EXPECT_EQ(read(kB, next), b_new);
+    EXPECT_EQ(read(kB, nullptr), b_new);
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(
