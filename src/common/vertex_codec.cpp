@@ -1,6 +1,7 @@
 #include "common/vertex_codec.hpp"
 
 #include <algorithm>
+#include <array>
 #include <limits>
 
 #include "common/serial.hpp"
@@ -12,8 +13,80 @@ namespace {
 constexpr std::uint8_t kMarkerRaw = 0x00;
 constexpr std::uint8_t kMarkerDelta = 0x01;
 
-void put_fixed(ByteWriter& writer, std::span<const VertexId> values) {
-  writer.put_bytes(std::as_bytes(std::span(values)));
+/// Bytes of `v` as a LEB128 varint.
+constexpr std::size_t varint_size(std::uint64_t v) {
+  std::size_t bytes = 1;
+  for (; v >= 0x80; v >>= 7) ++bytes;
+  return bytes;
+}
+
+/// Size of the raw form: marker, count, fixed-width elements.
+constexpr std::size_t raw_encoded_size(std::size_t count,
+                                       std::size_t element_bytes) {
+  return 1 + varint_size(count) + element_bytes;
+}
+
+std::vector<std::byte> encode_raw_vertices(std::span<const VertexId> values) {
+  ByteWriter raw;
+  raw.put_u8(kMarkerRaw);
+  raw.put_varint(values.size());
+  raw.put_bytes(std::as_bytes(values));
+  return raw.take();
+}
+
+std::vector<std::byte> encode_raw_pairs(std::span<const VertexPair> pairs) {
+  ByteWriter raw;
+  raw.put_u8(kMarkerRaw);
+  raw.put_varint(pairs.size());
+  for (const auto& [first, second] : pairs) {
+    raw.put(first);
+    raw.put(second);
+  }
+  return raw.take();
+}
+
+// Ranges shorter than this finish with std::sort: a 256-way counting
+// pass does not pay for itself on a few dozen elements.
+constexpr std::size_t kRadixCutoff = 64;
+
+/// One American-flag pass over the byte of `.first` at `shifts[0]`, then
+/// the same on each bucket with the remaining shifts.  In place: the
+/// only storage is the per-level bucket bounds on the stack.
+void radix_sort_pairs(VertexPair* begin, VertexPair* end,
+                      std::span<const unsigned> shifts) {
+  const auto n = static_cast<std::size_t>(end - begin);
+  // Out of varying bytes: every first in the range is equal, and
+  // std::sort orders the run by second.
+  if (n < kRadixCutoff || shifts.empty()) {
+    std::sort(begin, end);
+    return;
+  }
+  const unsigned shift = shifts.front();
+  const auto digit = [shift](const VertexPair& pair) {
+    return static_cast<std::size_t>((pair.first >> shift) & 0xff);
+  };
+  std::array<std::size_t, 257> bounds{};
+  for (const VertexPair* it = begin; it != end; ++it) ++bounds[digit(*it) + 1];
+  for (std::size_t b = 0; b < 256; ++b) bounds[b + 1] += bounds[b];
+  // next[b]: first slot of bucket b not yet holding a bucket-b pair.
+  std::array<std::size_t, 256> next{};
+  std::copy(bounds.begin(), bounds.end() - 1, next.begin());
+  for (std::size_t b = 0; b < 256; ++b) {
+    while (next[b] < bounds[b + 1]) {
+      VertexPair item = begin[next[b]];
+      // Follow the displacement cycle until a bucket-b pair comes back.
+      for (std::size_t d = digit(item); d != b; d = digit(item)) {
+        std::swap(item, begin[next[d]++]);
+      }
+      begin[next[b]++] = item;
+    }
+  }
+  for (std::size_t b = 0; b < 256; ++b) {
+    if (bounds[b + 1] - bounds[b] > 1) {
+      radix_sort_pairs(begin + bounds[b], begin + bounds[b + 1],
+                       shifts.subspan(1));
+    }
+  }
 }
 
 /// Shared prologue of both decoders: marker + count, with the count
@@ -55,23 +128,19 @@ void require_drained(const ByteReader& reader) {
 std::vector<std::byte> encode_vertex_set(std::vector<VertexId>& vertices,
                                          WireFormat format) {
   std::sort(vertices.begin(), vertices.end());
+  if (format == WireFormat::kRaw) return encode_raw_vertices(vertices);
 
-  ByteWriter raw;
-  raw.put_u8(kMarkerRaw);
-  raw.put_varint(vertices.size());
-  put_fixed(raw, vertices);
-  if (format == WireFormat::kRaw) return raw.take();
-
+  const std::size_t raw_size = raw_encoded_size(
+      vertices.size(), raw_vertex_wire_bytes(vertices.size()));
   ByteWriter delta;
   delta.put_u8(kMarkerDelta);
   delta.put_varint(vertices.size());
   VertexId prev = 0;
-  for (std::size_t i = 0; i < vertices.size(); ++i) {
-    delta.put_varint(i == 0 ? vertices[0] : vertices[i] - prev);
-    prev = vertices[i];
-    // Already at least as big as the fixed-width form: stop wasting work
-    // and ship the passthrough escape instead.
-    if (delta.size() >= raw.size()) return raw.take();
+  for (const VertexId v : vertices) {
+    delta.put_varint(v - prev);  // the first "delta" is v[0] itself
+    prev = v;
+    // At least as big as the fixed-width form: ship the escape instead.
+    if (delta.size() >= raw_size) return encode_raw_vertices(vertices);
   }
   return delta.take();
 }
@@ -99,38 +168,55 @@ void decode_vertex_set(std::span<const std::byte> buffer,
   require_drained(reader);
 }
 
+void sort_pairs(std::span<VertexPair> pairs) {
+  // Already ordered (a combiner's folded bucket on its way to the
+  // encoder): one comparison pass, which exits at the first inversion on
+  // unordered input.
+  if (std::is_sorted(pairs.begin(), pairs.end())) return;
+  // Radix only over the bytes where some first differs from another:
+  // scrambled ids are dense in 0..n-1, so that is usually two or three.
+  VertexId any_bits = 0;
+  VertexId all_bits = ~VertexId{0};
+  for (const auto& pair : pairs) {
+    any_bits |= pair.first;
+    all_bits &= pair.first;
+  }
+  const VertexId varying = any_bits ^ all_bits;
+  std::array<unsigned, sizeof(VertexId)> shifts{};
+  std::size_t levels = 0;
+  for (unsigned shift = 8 * (sizeof(VertexId) - 1);; shift -= 8) {
+    if (((varying >> shift) & 0xff) != 0) shifts[levels++] = shift;
+    if (shift == 0) break;
+  }
+  radix_sort_pairs(pairs.data(), pairs.data() + pairs.size(),
+                   std::span(shifts.data(), levels));
+}
+
 std::vector<std::byte> encode_pair_set(std::vector<VertexPair>& pairs,
                                        WireFormat format) {
-  std::sort(pairs.begin(), pairs.end());
+  sort_pairs(pairs);
+  if (format == WireFormat::kRaw) return encode_raw_pairs(pairs);
 
-  ByteWriter raw;
-  raw.put_u8(kMarkerRaw);
-  raw.put_varint(pairs.size());
-  for (const auto& [first, second] : pairs) {
-    raw.put(first);
-    raw.put(second);
-  }
-  if (format == WireFormat::kRaw) return raw.take();
-
+  const std::size_t raw_size =
+      raw_encoded_size(pairs.size(), raw_pair_wire_bytes(pairs.size()));
   ByteWriter delta;
   delta.put_u8(kMarkerDelta);
   delta.put_varint(pairs.size());
+  // Starting from (0, 0) with a "changed first" makes the first pair's
+  // two varints its plain components.
   VertexId prev_first = 0;
   VertexId prev_second = 0;
-  for (std::size_t i = 0; i < pairs.size(); ++i) {
-    const auto& [first, second] = pairs[i];
-    if (i == 0) {
-      delta.put_varint(first);
-      delta.put_varint(second);
-    } else {
-      delta.put_varint(first - prev_first);
-      // Lexicographic order: within a run of equal firsts the seconds
-      // ascend, so they delta; across a first-change the second restarts.
-      delta.put_varint(first == prev_first ? second - prev_second : second);
-    }
+  bool first_pair = true;
+  for (const auto& [first, second] : pairs) {
+    delta.put_varint(first - prev_first);
+    // Lexicographic order: within a run of equal firsts the seconds
+    // ascend, so they delta; across a first-change the second restarts.
+    const bool same_first = !first_pair && first == prev_first;
+    delta.put_varint(same_first ? second - prev_second : second);
+    first_pair = false;
     prev_first = first;
     prev_second = second;
-    if (delta.size() >= raw.size()) return raw.take();
+    if (delta.size() >= raw_size) return encode_raw_pairs(pairs);
   }
   return delta.take();
 }

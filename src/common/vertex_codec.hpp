@@ -25,11 +25,15 @@
 // delivering canonical ascending order on every path is what keeps the
 // BFS work counters bit-for-bit identical between raw and delta wires
 // (asserted by the BfsWireEquivalence suite).  Duplicates are preserved
-// (delta 0), never dropped.
+// (delta 0), never dropped.  Pair sets are ordered by sort_pairs, a
+// linear-time radix order over the (dense, scrambled) vertex ids.
 //
-// encode_* with kDelta falls back to the raw marker whenever the varint
-// stream would not actually be smaller (the passthrough escape for
-// incompressible payloads, e.g. adversarial max-delta sets).  decode_*
+// encode_* with kDelta writes the varint stream directly and falls back
+// to the raw marker only once that stream reaches the fixed-width size
+// (the passthrough escape for incompressible payloads, e.g. adversarial
+// max-delta sets); the raw form is never built otherwise.  A non-empty
+// set whose varint stream is exactly as long as the raw form ships raw;
+// the empty set always ships the delta marker.  decode_*
 // throws FormatError on truncation, unknown markers, trailing bytes,
 // non-canonical element counts, and delta overflow — corrupt messages
 // fail loudly, never as UB.
@@ -72,6 +76,13 @@ using VertexPair = std::pair<VertexId, VertexId>;
 /// FormatError on any malformed buffer.
 void decode_vertex_set(std::span<const std::byte> buffer,
                        std::vector<VertexId>& out);
+
+/// Sorts `pairs` in place into exactly std::sort's order (first, then
+/// second).  An in-place MSD radix (American-flag) sort over the bytes of
+/// `.first` that vary across the input; ranges under 64 pairs, and ranges
+/// whose firsts are all equal, finish with std::sort.  Allocates nothing
+/// proportional to the input; recursion depth is at most 8.
+void sort_pairs(std::span<VertexPair> pairs);
 
 /// Encodes a pair (multi)set; sorts `pairs` lexicographically in place.
 [[nodiscard]] std::vector<std::byte> encode_pair_set(

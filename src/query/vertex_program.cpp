@@ -21,53 +21,76 @@ constexpr int kVertexProgramTag = 130;
 
 }  // namespace
 
-// Scatter-phase message router.  Messages for peer ranks accumulate in
-// per-owner buckets (pre-combined when the kernel has a combiner, so
-// the wire carries one pair per (rank, target)); messages this rank
-// owns short-circuit into the inbox-bound self bucket, no wire.
+// Scatter-phase message router.  Messages accumulate in per-owner pair
+// buckets; the bucket this rank owns drains into the inbox, no wire.
+// With a combiner, a bucket folds each same-target run into one pair
+// (radix sort, then one pass), so the wire carries one pair per (rank,
+// target).  Every combiner is associative and commutative, so neither
+// the fold order nor how often a bucket folds can change a value.
 class VertexProgramEngine::Sink : public MessageSink {
  public:
   Sink(VertexProgramEngine& engine, VertexProgram& program)
       : engine_(engine),
         program_(program),
         combine_(program.has_combiner()),
-        pair_buckets_(static_cast<std::size_t>(engine.comm_.size())),
-        combined_buckets_(static_cast<std::size_t>(engine.comm_.size())) {}
+        buckets_(static_cast<std::size_t>(engine.comm_.size())) {}
 
   void emit(VertexId target, std::uint64_t value) override {
-    const auto bucket = static_cast<std::size_t>(engine_.owner(target));
-    if (combine_) {
-      auto [it, inserted] = combined_buckets_[bucket].try_emplace(target, value);
-      if (!inserted) {
-        it->second = program_.combine(it->second, value);
-        ++engine_.stats_.combines;
-      }
-    } else {
-      pair_buckets_[bucket].emplace_back(target, value);
+    Bucket& bucket = buckets_[static_cast<std::size_t>(engine_.owner(target))];
+    bucket.pairs.emplace_back(target, value);
+    // Fold whenever the unfolded tail outgrows the folded head: a
+    // combined bucket then holds at most about twice its distinct
+    // targets, as a per-target map would, and each pair is still sorted
+    // once, plus amortized linear merge work.
+    if (combine_ &&
+        bucket.pairs.size() >= 2 * std::max(bucket.folded, kMinFold)) {
+      fold(bucket);
     }
   }
 
-  /// Drains bucket `q` into `out` (appending), leaving it empty.
+  /// Drains bucket `q` into `out` (appending), leaving it empty.  A
+  /// combined bucket leaves sorted.
   void drain(Rank q, std::vector<VertexPair>& out) {
-    const auto bucket = static_cast<std::size_t>(q);
-    if (combine_) {
-      for (const auto& [target, value] : combined_buckets_[bucket]) {
-        out.emplace_back(target, value);
-      }
-      combined_buckets_[bucket].clear();
-    } else {
-      out.insert(out.end(), pair_buckets_[bucket].begin(),
-                 pair_buckets_[bucket].end());
-      pair_buckets_[bucket].clear();
-    }
+    Bucket& bucket = buckets_[static_cast<std::size_t>(q)];
+    if (combine_) fold(bucket);
+    out.insert(out.end(), bucket.pairs.begin(), bucket.pairs.end());
+    bucket.pairs.clear();
+    bucket.folded = 0;
   }
 
  private:
+  // pairs[0, folded) is sorted with one pair per target; the rest is in
+  // emit order.
+  struct Bucket {
+    std::vector<VertexPair> pairs;
+    std::size_t folded = 0;
+  };
+
+  static constexpr std::size_t kMinFold = 4096;
+
+  void fold(Bucket& bucket) {
+    std::vector<VertexPair>& pairs = bucket.pairs;
+    const auto tail =
+        pairs.begin() + static_cast<std::ptrdiff_t>(bucket.folded);
+    sort_pairs(std::span(tail, pairs.end()));
+    std::inplace_merge(pairs.begin(), tail, pairs.end());
+    std::size_t kept = 0;
+    for (std::size_t i = 0; i < pairs.size();) {
+      VertexPair run = pairs[i++];
+      for (; i < pairs.size() && pairs[i].first == run.first; ++i) {
+        run.second = program_.combine(run.second, pairs[i].second);
+        ++engine_.stats_.combines;
+      }
+      pairs[kept++] = run;
+    }
+    pairs.resize(kept);
+    bucket.folded = kept;
+  }
+
   VertexProgramEngine& engine_;
   VertexProgram& program_;
   const bool combine_;
-  std::vector<std::vector<VertexPair>> pair_buckets_;
-  std::vector<std::unordered_map<VertexId, std::uint64_t>> combined_buckets_;
+  std::vector<Bucket> buckets_;
 };
 
 VertexProgramEngine::VertexProgramEngine(Communicator& comm, GraphDB& db,
@@ -193,11 +216,12 @@ void VertexProgramEngine::exchange(Sink& sink) {
   }
   // The inbox leaves here sorted, so each target's value group is
   // ascending — a deterministic fold order regardless of sender count or
-  // arrival.  Only the self bucket needs a sort: encode_pair_set sorts
-  // every peer's run before the wire, so those merge in linear time.
-  // Merging in rank order (not arrival order) keeps every counter a pure
+  // arrival.  Only the self bucket needs a sort (a radix pass, or none
+  // when a combiner already sorted it): encode_pair_set sorts every
+  // peer's run before the wire, so those merge in linear time.  Merging
+  // in rank order (not arrival order) keeps every counter a pure
   // function of the inputs.
-  std::sort(inbox_.begin(), inbox_.end());
+  sort_pairs(inbox_);
   std::vector<VertexPair> received;
   for (Rank q = 0; q < p; ++q) {
     if (q == comm_.rank()) continue;

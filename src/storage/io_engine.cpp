@@ -92,6 +92,7 @@ void IoEngine::submit(std::vector<IoRequest> batch) {
     for (std::size_t i = 0; i < per_lane.size(); ++i) {
       if (per_lane[i].empty()) continue;
       lanes_[i]->queue.push_back(std::move(per_lane[i]));
+      ++lanes_[i]->queued_total;
       ++queued_batches_;
       notify[i] = true;
     }
@@ -130,12 +131,21 @@ void IoEngine::drain() const {
 }
 
 MetricsSnapshot IoEngine::metrics() const {
-  // Quiesce and snapshot under ONE critical section: releasing the lock
+  // Wait and snapshot under ONE critical section: releasing the lock
   // between the two (the old drain()-then-snapshot) let a concurrent
-  // submit() wake a worker that writes the registry mid-snapshot.
+  // submit() wake a worker that writes the registry mid-snapshot.  The
+  // wait is for a ticket — each lane's queued count at the call — not
+  // for idleness, which a steady submitter may never grant.
   std::unique_lock lock(mutex_);
-  done_cv_.wait(lock,
-                [this] { return queued_batches_ == 0 && busy_workers_ == 0; });
+  std::vector<std::uint64_t> ticket;
+  ticket.reserve(lanes_.size());
+  for (const auto& lane : lanes_) ticket.push_back(lane->queued_total);
+  done_cv_.wait(lock, [this, &ticket] {
+    for (std::size_t i = 0; i < lanes_.size(); ++i) {
+      if (lanes_[i]->executed_total < ticket[i]) return false;
+    }
+    return true;
+  });
   return metrics_.snapshot();
 }
 
@@ -247,6 +257,7 @@ void IoEngine::worker_loop(Lane& lane) {
                         std::make_move_iterator(batch.begin()),
                         std::make_move_iterator(batch.end()));
       worker_stats_ += local;
+      ++lane.executed_total;
       --busy_workers_;
       ++completion_seq_;
       completions_ready_.store(completed_.size(), std::memory_order_release);

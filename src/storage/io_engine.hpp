@@ -129,13 +129,15 @@ class IoEngine {
   /// without altering any request.
   void drain() const;
 
-  /// Waits for quiescence and snapshots the engine's internal metrics
-  /// (monotonic, no reset) WITHOUT releasing the lock in between — a
-  /// concurrent submit() cannot wake a worker into the registry
-  /// mid-snapshot.  Includes "span.io.engine.batch" (+ duration
-  /// histogram) per sub-batch, the "io.engine.queue_depth" /
-  /// "io.engine.batch_requests" histograms, and the "io.engine.lanes"
-  /// counter.
+  /// Waits until every sub-batch queued before the call has executed,
+  /// then snapshots the engine's internal metrics (monotonic, no reset)
+  /// WITHOUT releasing the lock in between.  Work submitted after the
+  /// call is not waited for, so a submitter that never lets the engine
+  /// go idle cannot stall the snapshot; workers write the registry only
+  /// under the lock, so the snapshot is consistent either way.  Includes
+  /// "span.io.engine.batch" (+ duration histogram) per sub-batch, the
+  /// "io.engine.queue_depth" / "io.engine.batch_requests" histograms, and
+  /// the "io.engine.lanes" counter.
   [[nodiscard]] MetricsSnapshot metrics() const;
 
   /// Sub-batches not yet picked up by a worker, across all lanes
@@ -153,6 +155,11 @@ class IoEngine {
     std::deque<std::vector<IoRequest>> queue;
     std::condition_variable work_cv;
     std::thread worker;
+    // Sub-batches ever queued on / executed by this lane (guarded by
+    // mutex_).  One FIFO worker per lane, so `executed >= n` means the
+    // first n queued sub-batches are all done: metrics()' ticket.
+    std::uint64_t queued_total = 0;
+    std::uint64_t executed_total = 0;
   };
 
   void worker_loop(Lane& lane);

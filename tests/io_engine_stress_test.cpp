@@ -146,20 +146,28 @@ TEST(IoEngineStress, WaitForCompletionSurvivesConcurrentPoller) {
   poller.join();
 }
 
-// metrics() must quiesce and snapshot atomically while submitters keep
-// racing it: the snapshot totals can only grow between calls, and tsan
-// must see no registry access outside the lock.
+// metrics() must wait for its ticket and snapshot atomically while a
+// submitter keeps the engine busy: every call returns although the
+// engine is never idle, the snapshot totals can only grow between calls,
+// and tsan must see no registry access outside the lock.
 TEST(IoEngineStress, MetricsSnapshotRacesSubmitters) {
   TempDir dir;
   File file = File::open(dir.path() / "data");
   IoEngineOptions options;
   options.workers = 2;
   IoEngine engine(options);
+  constexpr std::size_t kMaxOutstanding = 4;
 
   std::atomic<bool> stop{false};
   std::thread submitter([&] {
     std::uint64_t n = 0;
     while (!stop.load(std::memory_order_acquire)) {
+      // A few batches in flight at most: the engine never goes idle, yet
+      // the backlog a snapshot may wait behind stays finite.
+      if (engine.queue_depth() >= kMaxOutstanding) {
+        std::this_thread::yield();
+        continue;
+      }
       std::vector<IoRequest> batch;
       IoRequest req;
       req.kind = IoRequest::Kind::kWrite;

@@ -133,6 +133,229 @@ TEST(VertexCodec, RandomPairSetsRoundTrip) {
   }
 }
 
+// ---- Linear-time pair order and one-pass encoding ---------------------------
+
+/// The encoders as they were before the one-pass rewrite: build the whole
+/// raw form, then the delta form, escaping to raw once the delta form is
+/// at least as large.  The bytes the current encoders must reproduce.
+std::vector<std::byte> reference_encode_vertices(std::vector<VertexId> vertices,
+                                                 WireFormat format) {
+  std::sort(vertices.begin(), vertices.end());
+  ByteWriter raw;
+  raw.put_u8(0x00);
+  raw.put_varint(vertices.size());
+  raw.put_bytes(std::as_bytes(std::span(vertices)));
+  if (format == WireFormat::kRaw) return raw.take();
+  ByteWriter delta;
+  delta.put_u8(0x01);
+  delta.put_varint(vertices.size());
+  VertexId prev = 0;
+  for (std::size_t i = 0; i < vertices.size(); ++i) {
+    delta.put_varint(i == 0 ? vertices[0] : vertices[i] - prev);
+    prev = vertices[i];
+    if (delta.size() >= raw.size()) return raw.take();
+  }
+  return delta.take();
+}
+
+std::vector<std::byte> reference_encode_pairs(std::vector<VertexPair> pairs,
+                                              WireFormat format) {
+  std::sort(pairs.begin(), pairs.end());
+  ByteWriter raw;
+  raw.put_u8(0x00);
+  raw.put_varint(pairs.size());
+  for (const auto& [first, second] : pairs) {
+    raw.put(first);
+    raw.put(second);
+  }
+  if (format == WireFormat::kRaw) return raw.take();
+  ByteWriter delta;
+  delta.put_u8(0x01);
+  delta.put_varint(pairs.size());
+  VertexId prev_first = 0;
+  VertexId prev_second = 0;
+  for (std::size_t i = 0; i < pairs.size(); ++i) {
+    const auto& [first, second] = pairs[i];
+    if (i == 0) {
+      delta.put_varint(first);
+      delta.put_varint(second);
+    } else {
+      delta.put_varint(first - prev_first);
+      delta.put_varint(first == prev_first ? second - prev_second : second);
+    }
+    prev_first = first;
+    prev_second = second;
+    if (delta.size() >= raw.size()) return raw.take();
+  }
+  return delta.take();
+}
+
+/// Smallest value whose LEB128 form is `bytes` long (1..10).
+VertexId varint_of_length(int bytes) {
+  return bytes == 1 ? 0 : VertexId{1} << (7 * (bytes - 1));
+}
+
+void expect_sort_pairs_matches(std::vector<VertexPair> pairs) {
+  std::vector<VertexPair> expected = pairs;
+  std::sort(expected.begin(), expected.end());
+  sort_pairs(pairs);
+  EXPECT_EQ(pairs, expected) << "size " << pairs.size();
+}
+
+TEST(VertexCodec, SortPairsMatchesStdSort) {
+  std::mt19937_64 rng(0x50a7);
+  const auto random_pairs = [&](std::size_t n, VertexId first_range,
+                                VertexId second_range) {
+    std::vector<VertexPair> pairs(n);
+    for (auto& [a, b] : pairs) {
+      a = first_range == 0 ? rng() : rng() % first_range;
+      b = second_range == 0 ? rng() : rng() % second_range;
+    }
+    return pairs;
+  };
+
+  // Sizes on both sides of the std::sort cutoff, then random ones.
+  for (const std::size_t n : {0, 1, 2, 63, 64, 65, 255, 256, 257}) {
+    expect_sort_pairs_matches(random_pairs(n, 100'000, 1'000));
+  }
+  for (int trial = 0; trial < 40; ++trial) {
+    const std::size_t n = rng() % 5001;
+    const VertexId first_range = VertexId{1} << (rng() % 40 + 1);
+    expect_sort_pairs_matches(random_pairs(n, first_range, 0));
+  }
+
+  // Heavy duplicates: whole pairs repeat many times.
+  expect_sort_pairs_matches(random_pairs(3000, 3, 3));
+  expect_sort_pairs_matches(random_pairs(3000, 40, 2));
+
+  // Every first equal: the run orders by second alone.
+  expect_sort_pairs_matches(random_pairs(2000, 1, 0));
+  {
+    auto pairs = random_pairs(2000, 1, 0);
+    for (auto& pair : pairs) pair.first = 0xdeadbeefcafeULL;
+    expect_sort_pairs_matches(pairs);
+  }
+
+  // A hub run far longer than the cutoff among scattered firsts.
+  {
+    auto pairs = random_pairs(1500, 1u << 20, 0);
+    for (int i = 0; i < 700; ++i) pairs.emplace_back(4242, rng() % 50);
+    std::shuffle(pairs.begin(), pairs.end(), rng);
+    expect_sort_pairs_matches(pairs);
+  }
+
+  // Ids that vary in all 8 bytes, the extremes included.
+  {
+    auto pairs = random_pairs(4000, 0, 0);
+    constexpr VertexId kMax = std::numeric_limits<VertexId>::max();
+    for (const VertexId edge : {VertexId{0}, VertexId{1}, kMax - 1, kMax}) {
+      pairs.emplace_back(edge, kMax);
+      pairs.emplace_back(edge, 0);
+      pairs.emplace_back(kMax, edge);
+    }
+    std::shuffle(pairs.begin(), pairs.end(), rng);
+    expect_sort_pairs_matches(pairs);
+  }
+
+  // Already ordered and reverse ordered input.
+  {
+    auto pairs = random_pairs(3000, 1u << 16, 0);
+    std::sort(pairs.begin(), pairs.end());
+    expect_sort_pairs_matches(pairs);
+    std::reverse(pairs.begin(), pairs.end());
+    expect_sort_pairs_matches(pairs);
+  }
+}
+
+TEST(VertexCodec, PairEncodingMatchesReferenceBytes) {
+  const auto expect_same = [](const std::vector<VertexPair>& pairs) {
+    for (const WireFormat format : {WireFormat::kRaw, WireFormat::kDelta}) {
+      std::vector<VertexPair> input = pairs;
+      EXPECT_EQ(encode_pair_set(input, format),
+                reference_encode_pairs(pairs, format))
+          << "size " << pairs.size() << " format "
+          << static_cast<int>(format);
+    }
+  };
+  expect_same({});
+  expect_same({{7, 9}});
+  expect_same({{std::numeric_limits<VertexId>::max(), 0}});
+
+  std::mt19937_64 rng(0xb17e);
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<VertexPair> pairs(rng() % 3000);
+    const int first_bits = static_cast<int>(rng() % 64) + 1;
+    const int second_bits = static_cast<int>(rng() % 64) + 1;
+    for (auto& [a, b] : pairs) {
+      a = rng() >> (64 - first_bits);
+      b = rng() >> (64 - second_bits);
+    }
+    expect_same(pairs);
+  }
+
+  // Around the escape point: n pairs whose every first changes, each
+  // costing 8 + 8 varint bytes against 16 raw, with the last second one
+  // byte shorter, equal, or one longer — delta one byte under the raw
+  // size (ships delta), equal (ships raw), one over (ships raw).
+  for (const std::size_t n : {1, 4, 200}) {
+    for (const int last_second_bytes : {7, 8, 9}) {
+      std::vector<VertexPair> pairs;
+      VertexId first = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        first += varint_of_length(8);
+        const int bytes = i + 1 == n ? last_second_bytes : 8;
+        pairs.emplace_back(first, varint_of_length(bytes));
+      }
+      expect_same(pairs);
+      std::vector<VertexPair> input = pairs;
+      const auto wire = encode_pair_set(input, WireFormat::kDelta);
+      EXPECT_EQ(static_cast<std::uint8_t>(wire[0]),
+                last_second_bytes < 8 ? 0x01 : 0x00);
+    }
+  }
+}
+
+TEST(VertexCodec, VertexEncodingMatchesReferenceBytes) {
+  const auto expect_same = [](const std::vector<VertexId>& vertices) {
+    for (const WireFormat format : {WireFormat::kRaw, WireFormat::kDelta}) {
+      std::vector<VertexId> input = vertices;
+      EXPECT_EQ(encode_vertex_set(input, format),
+                reference_encode_vertices(vertices, format))
+          << "size " << vertices.size() << " format "
+          << static_cast<int>(format);
+    }
+  };
+  expect_same({});
+  expect_same({0});
+  expect_same({std::numeric_limits<VertexId>::max()});
+
+  std::mt19937_64 rng(0xf1a7);
+  for (int trial = 0; trial < 60; ++trial) {
+    std::vector<VertexId> vertices(rng() % 3000);
+    const int bits = static_cast<int>(rng() % 64) + 1;
+    for (auto& v : vertices) v = rng() >> (64 - bits);
+    expect_same(vertices);
+  }
+
+  // Around the escape point: every delta costs 8 varint bytes against 8
+  // raw, the last one 7, 8 or 9.
+  for (const std::size_t n : {1, 4, 200}) {
+    for (const int last_bytes : {7, 8, 9}) {
+      std::vector<VertexId> vertices;
+      VertexId v = 0;
+      for (std::size_t i = 0; i < n; ++i) {
+        v += varint_of_length(i + 1 == n ? last_bytes : 8);
+        vertices.push_back(v);
+      }
+      expect_same(vertices);
+      std::vector<VertexId> input = vertices;
+      const auto wire = encode_vertex_set(input, WireFormat::kDelta);
+      EXPECT_EQ(static_cast<std::uint8_t>(wire[0]),
+                last_bytes < 8 ? 0x01 : 0x00);
+    }
+  }
+}
+
 // ---- Corrupt buffers must throw FormatError, never UB ----------------------
 
 TEST(VertexCodec, DecodeEmptyBufferThrows) {

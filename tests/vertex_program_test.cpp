@@ -253,6 +253,108 @@ TEST(VertexProgramEngine, PublishesEngineMetrics) {
   EXPECT_GT(snap.counters.at("vp.messages_delivered"), 0u);
 }
 
+/// One-superstep kernel with a sum combiner.  Every vertex emits three
+/// values to each neighbor and a 1 to `v % 7`, so targets repeat both
+/// within and across scatters, and buckets grow large enough to fold
+/// during the scatter as well as at drain.  Counts its own emits and the
+/// distinct (owner bucket, target) pairs they hit; the owner is a
+/// function of the target, so the distinct targets suffice.
+class SumFoldProgram final : public VertexProgram {
+ public:
+  explicit SumFoldProgram(bool combine) : combine_(combine) {}
+
+  std::uint64_t init(VertexId /*v*/, bool& active) override {
+    active = true;
+    return 0;
+  }
+
+  [[nodiscard]] bool has_combiner() const override { return combine_; }
+  [[nodiscard]] std::uint64_t combine(std::uint64_t a,
+                                      std::uint64_t b) const override {
+    return a + b;
+  }
+
+  void scatter(VertexId v, std::uint64_t& /*state*/,
+               std::span<const VertexId> neighbors,
+               MessageSink& sink) override {
+    for (const VertexId u : neighbors) {
+      send(sink, u, v + 1);
+      send(sink, u, u * 31 + v);
+      send(sink, u, 1);
+    }
+    send(sink, v % 7, 1);
+  }
+
+  bool apply(VertexId /*v*/, std::uint64_t& state,
+             std::span<const std::uint64_t> messages,
+             std::span<const VertexId> /*neighbors*/) override {
+    for (const std::uint64_t m : messages) state += m;
+    return false;
+  }
+
+  [[nodiscard]] bool keep_running(std::uint64_t superstep) const override {
+    return superstep < 1;
+  }
+
+  std::uint64_t emits = 0;
+  std::set<VertexId> targets;
+
+ private:
+  void send(MessageSink& sink, VertexId target, std::uint64_t value) {
+    ++emits;
+    targets.insert(target);
+    sink.emit(target, value);
+  }
+
+  const bool combine_;
+};
+
+struct SumFoldRun {
+  std::map<VertexId, std::uint64_t> states;
+  std::uint64_t emits = 0;
+  std::uint64_t distinct = 0;
+  std::uint64_t combines = 0;  ///< the merged vp.combines counter
+};
+
+SumFoldRun run_sum_fold(const MiniCluster& cluster, bool combine) {
+  SumFoldRun out;
+  std::vector<MetricsRegistry> registries(cluster.nodes());
+  std::mutex mutex;
+  run_cluster(cluster.nodes(), [&](Communicator& comm) {
+    VertexProgramOptions options;
+    options.metrics = &registries[comm.rank()];
+    VertexProgramEngine engine(comm, *cluster.dbs[comm.rank()], options);
+    SumFoldProgram program(combine);
+    (void)engine.run(program);
+    std::lock_guard lock(mutex);
+    engine.for_each_state([&](VertexId v, std::uint64_t state) {
+      EXPECT_TRUE(out.states.emplace(v, state).second) << "vertex " << v;
+    });
+    out.emits += program.emits;
+    out.distinct += program.targets.size();
+  });
+  MetricsSnapshot snap;
+  for (const auto& reg : registries) snap.merge(reg.snapshot());
+  out.combines = snap.counter("vp.combines");
+  return out;
+}
+
+TEST(VertexProgramEngine, CombinerFoldsEqualTargetRuns) {
+  // 4 ranks still see over 8192 pairs per bucket (the mid-scatter fold).
+  const auto edges = test_graph(3000, 30000, 13);
+  for (const int nodes : {1, 2, 4}) {
+    SCOPED_TRACE(nodes);
+    MiniCluster cluster(Backend::kHashMap, nodes, edges);
+    const SumFoldRun reference = run_sum_fold(cluster, /*combine=*/false);
+    const SumFoldRun combined = run_sum_fold(cluster, /*combine=*/true);
+    EXPECT_EQ(reference.combines, 0u);
+    // Every emit beyond the first per (bucket, target) folds once.
+    ASSERT_GT(combined.emits, combined.distinct);
+    EXPECT_EQ(combined.combines, combined.emits - combined.distinct);
+    EXPECT_EQ(combined.states, reference.states);
+  }
+}
+
 // ---- vp-bfs equivalence -----------------------------------------------------
 
 struct VpBfsCase {
