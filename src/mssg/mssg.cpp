@@ -5,6 +5,7 @@
 
 #include "common/error.hpp"
 #include "graphdb/grdb/grdb.hpp"
+#include "query/analytics.hpp"
 
 namespace mssg {
 
@@ -266,9 +267,10 @@ CcStats MssgCluster::connected_components() {
   CcStats result;
   std::mutex merge_mutex;
   run_cluster(world_, [&](Communicator& comm) {
-    const auto stats =
-        parallel_connected_components(comm, *dbs_[comm.rank()]);
     MetricsRegistry& reg = *registries_[comm.rank()];
+    VertexProgramOptions options;
+    options.metrics = &reg;  // the engine's vp.* counters, as lp-cc has
+    const auto stats = parallel_label_cc(comm, *dbs_[comm.rank()], options);
     reg.counter("cc.runs") += 1;
     reg.counter("cc.iterations") += stats.iterations;
     reg.counter("cc.edges_scanned") += stats.edges_scanned;

@@ -1,7 +1,6 @@
 #include "query/analytics.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <unordered_map>
 
@@ -24,47 +23,84 @@ void distinct_neighbors(VertexId v, std::span<const VertexId> neighbors,
 
 // ---------------------------------------------------------------------------
 // PageRank
+//
+// Rank mass is fixed point: a u64 with 63 fraction bits, so 1.0 is
+// kRankOne = 2^63.  A stored vertex sends floor(state / degree) to each
+// neighbor; apply sets state = base + floor(sum * D / 2^63), where
+// D = floor(damping * 2^63) and base = floor((kRankOne - D) / n).
+// Integer sums are exact and order-free, so the kernel combines at the
+// sender (a + b) and its ranks are still bit-identical on every
+// partition.
+//
+// No sum can overflow.  Only stored vertices scatter (a vertex is stored
+// where it has out-edges), and their total mass never exceeds kRankOne:
+// it starts at n * floor(kRankOne / n), and a superstep leaves them at
+// most n * base + D * (mass sent) / 2^63 <= (kRankOne - D) + D.
+// Unstored targets hold mass but send none.  So every partial sum of
+// messages, in a send table, on the wire or in apply, and the sum of all
+// ranks, is at most kRankOne < 2^64.
+//
+// Precision: an iteration floors once per message, once for the damping
+// product and once in base, so it adds at most (in-degree + 2) * 2^-63
+// of absolute error to a vertex's rank, on top of the previous
+// iteration's error scaled by the damping factor.
+
+constexpr std::uint64_t kRankOne = std::uint64_t{1} << 63;
+
+double rank_value(std::uint64_t fixed) {
+  return std::ldexp(static_cast<double>(fixed), -63);
+}
 
 class PageRankProgram final : public VertexProgram {
  public:
   PageRankProgram(std::uint64_t iterations, double damping)
-      : iterations_(iterations), damping_(damping) {}
+      : iterations_(iterations),
+        damping_(static_cast<std::uint64_t>(std::ldexp(damping, 63))) {}
 
   void begin(const VertexProgramInfo& info) override {
-    inv_n_ = 1.0 / static_cast<double>(std::max<std::uint64_t>(
-                       info.global_vertices, 1));
+    const std::uint64_t n = std::max<std::uint64_t>(info.global_vertices, 1);
+    initial_ = kRankOne / n;
+    base_ = (kRankOne - damping_) / n;
   }
 
   std::uint64_t init(VertexId /*v*/, bool& active) override {
     active = true;
-    return std::bit_cast<std::uint64_t>(inv_n_);
+    return initial_;
   }
 
   [[nodiscard]] bool dense() const override { return true; }
-  // Deliberately NO combiner: pre-summing per sender rank would make the
-  // FP fold depend on the partition.  Uncombined, the delivered multiset
-  // is partition-independent and the engine folds it sorted, so ranks
-  // are bit-identical on 1, 2, and 4 nodes.
+  [[nodiscard]] bool has_combiner() const override { return true; }
+  [[nodiscard]] std::uint64_t combine(std::uint64_t a,
+                                      std::uint64_t b) const override {
+    return a + b;  // at most kRankOne: see the overflow note above
+  }
 
   void scatter(VertexId /*v*/, std::uint64_t& state,
                std::span<const VertexId> neighbors,
                MessageSink& sink) override {
-    if (neighbors.empty()) return;
-    const double share = std::bit_cast<double>(state) /
-                         static_cast<double>(neighbors.size());
-    const std::uint64_t bits = std::bit_cast<std::uint64_t>(share);
-    for (const VertexId u : neighbors) sink.emit(u, bits);
+    if (neighbors.empty()) return;  // an unstored target: it sends nothing
+    MSSG_CHECK(state <= kRankOne);
+    const std::uint64_t share = state / neighbors.size();
+    for (const VertexId u : neighbors) sink.emit(u, share);
+    // A dense kernel applies every vertex it scattered in the same
+    // superstep, and apply computes the rank from the messages alone, so
+    // the state can carry the fact that this vertex is stored and draws
+    // the teleport term.  An unstored target draws none: it is not one
+    // of the n vertices, and its base would add mass.
+    state = kStored;
   }
 
   bool apply(VertexId /*v*/, std::uint64_t& state,
              std::span<const std::uint64_t> messages,
              std::span<const VertexId> /*neighbors*/) override {
-    double sum = 0.0;
-    for (const std::uint64_t bits : messages) {
-      sum += std::bit_cast<double>(bits);
+    std::uint64_t sum = 0;
+    for (const std::uint64_t m : messages) {
+      MSSG_CHECK(m <= kRankOne - sum);
+      sum += m;
     }
-    state = std::bit_cast<std::uint64_t>((1.0 - damping_) * inv_n_ +
-                                         damping_ * sum);
+    const auto damped = static_cast<std::uint64_t>(
+        (static_cast<unsigned __int128>(sum) * damping_) >> 63);
+    state = (state == kStored ? base_ : 0) + damped;
     return false;  // dense: activity is implicit
   }
 
@@ -73,9 +109,13 @@ class PageRankProgram final : public VertexProgram {
   }
 
  private:
+  // Above any rank (ranks are at most kRankOne).
+  static constexpr std::uint64_t kStored = ~std::uint64_t{0};
+
   const std::uint64_t iterations_;
-  const double damping_;
-  double inv_n_ = 1.0;
+  const std::uint64_t damping_;  // D
+  std::uint64_t initial_ = kRankOne;
+  std::uint64_t base_ = 0;
 };
 
 // ---------------------------------------------------------------------------
@@ -427,31 +467,27 @@ PageRankStats parallel_pagerank(
   stats.truncated = run.truncated;
   stats.seconds = run.seconds;
 
-  double local_sum = 0.0;
-  std::uint64_t best_bits = 0;
+  std::uint64_t local_sum = 0;
+  std::uint64_t best = 0;
   VertexId best_vertex = kInvalidVertex;
   if (local_ranks != nullptr) local_ranks->clear();
   engine.for_each_state([&](VertexId v, std::uint64_t state) {
-    const double rank = std::bit_cast<double>(state);
-    local_sum += rank;
-    if (local_ranks != nullptr) local_ranks->emplace_back(v, rank);
-    if (state > best_bits || best_vertex == kInvalidVertex) {
-      best_bits = state;
+    local_sum += state;
+    if (local_ranks != nullptr) local_ranks->emplace_back(v, rank_value(state));
+    if (state > best || best_vertex == kInvalidVertex) {
+      best = state;
       best_vertex = v;
     }
   });
-  // Positive IEEE-754 doubles order-preserve as uint64 bits, so the max
-  // rank reduces exactly; ties resolve to the smallest vertex id.
-  const std::uint64_t top_bits = comm.allreduce_max(best_bits);
-  stats.top_rank = std::bit_cast<double>(top_bits);
+  // Fixed-point ranks are integers, so the max reduces exactly; ties
+  // resolve to the smallest vertex id.  The global sum is exact too: all
+  // mass together is at most kRankOne.
+  const std::uint64_t top = comm.allreduce_max(best);
+  stats.top_rank = rank_value(top);
   stats.top_vertex = comm.allreduce_min(
-      best_bits == top_bits && best_vertex != kInvalidVertex ? best_vertex
-                                                             : kInvalidVertex);
-  // Fixed-point global sum (nanorank granularity) — reporting only.
-  stats.rank_sum =
-      static_cast<double>(comm.allreduce_sum(
-          static_cast<std::uint64_t>(std::llround(local_sum * 1e9)))) /
-      1e9;
+      best == top && best_vertex != kInvalidVertex ? best_vertex
+                                                   : kInvalidVertex);
+  stats.rank_sum = rank_value(comm.allreduce_sum(local_sum));
   return stats;
 }
 

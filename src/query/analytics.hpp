@@ -51,11 +51,13 @@ struct PageRankStats {
 
 /// Multigraph semantics: a duplicate edge contributes twice, a self-loop
 /// feeds a vertex its own share; dangling-vertex mass is dropped (the
-/// usual semi-external simplification).  Ranks are bit-identical for
-/// every rank count: the kernel runs combiner-less and folds each
-/// vertex's contributions in sorted order, so the FP sum order is a pure
-/// function of the graph.  `local_ranks`, when given, receives this
-/// rank's (vertex, rank) pairs in ascending vertex order.
+/// usual semi-external simplification).  A target stored on no rank
+/// receives rank but no teleport term, so the ranks sum to at most 1.
+/// Ranks are bit-identical for every rank count: the kernel sums
+/// fixed-point rank mass (63 fraction bits) exactly, combining at the
+/// sender, and converts to double only here; each iteration adds at most
+/// (in-degree + 2) * 2^-63 of absolute error.  `local_ranks`, when given,
+/// receives this rank's (vertex, rank) pairs in ascending vertex order.
 PageRankStats parallel_pagerank(
     Communicator& comm, GraphDB& db, const PageRankOptions& options = {},
     std::vector<std::pair<VertexId, double>>* local_ranks = nullptr);

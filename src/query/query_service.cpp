@@ -233,8 +233,8 @@ QueryService::QueryService() {
   // cluster.
   // params: {k [, iterations]} -> {v0, rank0, v1, rank1, ...}: the
   // global top-k PageRank vertices ordered by (rank desc, vertex asc).
-  // PageRank's ranks are bit-identical across rank counts (sorted-fold
-  // determinism, see analytics.hpp), so the comparator — and therefore
+  // PageRank's ranks are bit-identical across rank counts (exact
+  // fixed-point sums, see analytics.hpp), so the comparator — and therefore
   // the whole result — is a pure function of the graph: the query
   // language's `RANK TOP k` differential-tests against this byte for
   // byte.  iterations 0 (or absent) = the PageRank default.

@@ -1,6 +1,7 @@
 #include "query/vertex_program.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <string>
 #include <unordered_map>
 
@@ -21,70 +22,111 @@ constexpr int kVertexProgramTag = 130;
 
 }  // namespace
 
-// Scatter-phase message router.  Messages accumulate in per-owner pair
+// Scatter-phase message router.  Messages accumulate in per-owner
 // buckets; the bucket this rank owns drains into the inbox, no wire.
-// With a combiner, a bucket folds each same-target run into one pair
-// (radix sort, then one pass), so the wire carries one pair per (rank,
-// target).  Every combiner is associative and commutative, so neither
-// the fold order nor how often a bucket folds can change a value.
+// Without a combiner a bucket is a plain append list.  With one, the
+// bucket's vector is a linear-probe table keyed by target: power-of-two
+// size, load factor at most 1/2, multiplicative hashing, kInvalidVertex
+// as the empty key.  An emit to a target the table already holds
+// combines in place, so the wire carries one pair per (rank, target).
+// Every combiner is associative and commutative, so the emit order
+// cannot change a value.
 class VertexProgramEngine::Sink : public MessageSink {
  public:
   Sink(VertexProgramEngine& engine, VertexProgram& program)
       : engine_(engine),
         program_(program),
         combine_(program.has_combiner()),
-        buckets_(static_cast<std::size_t>(engine.comm_.size())) {}
+        buckets_(static_cast<std::size_t>(engine.comm_.size())) {
+    if (combine_) {
+      for (Bucket& bucket : buckets_) reset(bucket, kMinCapacity);
+    }
+  }
 
   void emit(VertexId target, std::uint64_t value) override {
     Bucket& bucket = buckets_[static_cast<std::size_t>(engine_.owner(target))];
-    bucket.pairs.emplace_back(target, value);
-    // Fold whenever the unfolded tail outgrows the folded head: a
-    // combined bucket then holds at most about twice its distinct
-    // targets, as a per-target map would, and each pair is still sorted
-    // once, plus amortized linear merge work.
-    if (combine_ &&
-        bucket.pairs.size() >= 2 * std::max(bucket.folded, kMinFold)) {
-      fold(bucket);
+    if (!combine_) {
+      bucket.pairs.emplace_back(target, value);
+      return;
+    }
+    MSSG_CHECK(target != kInvalidVertex);  // the empty-slot key
+    const std::size_t mask = bucket.pairs.size() - 1;
+    for (std::size_t i = home(bucket, target);; i = (i + 1) & mask) {
+      VertexPair& slot = bucket.pairs[i];
+      if (slot.first == target) {
+        slot.second = program_.combine(slot.second, value);
+        ++engine_.stats_.combines;
+        return;
+      }
+      if (slot.first == kInvalidVertex) {
+        slot = {target, value};
+        if (2 * ++bucket.held > bucket.pairs.size()) {
+          rehash(bucket, 2 * bucket.pairs.size());
+        }
+        return;
+      }
     }
   }
 
-  /// Drains bucket `q` into `out` (appending), leaving it empty.  A
-  /// combined bucket leaves sorted.
+  /// Drains bucket `q` into `out` (appending), leaving it empty.  The
+  /// pairs leave unordered: exchange() sorts them once, in the inbox or
+  /// in the encoder.
   void drain(Rank q, std::vector<VertexPair>& out) {
     Bucket& bucket = buckets_[static_cast<std::size_t>(q)];
-    if (combine_) fold(bucket);
-    out.insert(out.end(), bucket.pairs.begin(), bucket.pairs.end());
-    bucket.pairs.clear();
-    bucket.folded = 0;
+    if (!combine_) {
+      out.insert(out.end(), bucket.pairs.begin(), bucket.pairs.end());
+      bucket.pairs.clear();
+      return;
+    }
+    for (VertexPair& slot : bucket.pairs) {
+      if (slot.first == kInvalidVertex) continue;
+      out.push_back(slot);
+      slot.first = kInvalidVertex;
+    }
+    // A table widened by an earlier superstep shrinks to fit this one,
+    // so a run of sparse supersteps after a wide one scans the wide
+    // table once, not once per superstep.
+    const std::size_t fit = capacity_for(bucket.held);
+    if (bucket.pairs.size() > 4 * fit) reset(bucket, fit);
+    bucket.held = 0;
   }
 
  private:
-  // pairs[0, folded) is sorted with one pair per target; the rest is in
-  // emit order.
   struct Bucket {
-    std::vector<VertexPair> pairs;
-    std::size_t folded = 0;
+    std::vector<VertexPair> pairs;  // combiner: the probe table
+    std::size_t held = 0;           // combiner: occupied slots
+    int shift = 64;                 // combiner: 64 - log2(table size)
   };
 
-  static constexpr std::size_t kMinFold = 4096;
+  static constexpr std::size_t kMinCapacity = 1024;
 
-  void fold(Bucket& bucket) {
-    std::vector<VertexPair>& pairs = bucket.pairs;
-    const auto tail =
-        pairs.begin() + static_cast<std::ptrdiff_t>(bucket.folded);
-    sort_pairs(std::span(tail, pairs.end()));
-    std::inplace_merge(pairs.begin(), tail, pairs.end());
-    std::size_t kept = 0;
-    for (std::size_t i = 0; i < pairs.size();) {
-      VertexPair run = pairs[i++];
-      for (; i < pairs.size() && pairs[i].first == run.first; ++i) {
-        run.second = program_.combine(run.second, pairs[i].second);
-        ++engine_.stats_.combines;
-      }
-      pairs[kept++] = run;
+  /// The table size that holds `pairs` at load factor <= 1/2.
+  static std::size_t capacity_for(std::size_t pairs) {
+    return std::max(kMinCapacity, std::bit_ceil(2 * pairs));
+  }
+
+  static std::size_t home(const Bucket& bucket, VertexId target) {
+    // Fibonacci hashing: the product's top bits mix every bit of the
+    // id, which matters because a bucket's ids share their residue mod p.
+    return static_cast<std::size_t>((target * 0x9E3779B97F4A7C15ull) >>
+                                    bucket.shift);
+  }
+
+  static void reset(Bucket& bucket, std::size_t capacity) {
+    bucket.pairs = std::vector<VertexPair>(capacity, {kInvalidVertex, 0});
+    bucket.shift = 64 - std::countr_zero(capacity);
+  }
+
+  static void rehash(Bucket& bucket, std::size_t capacity) {
+    const std::vector<VertexPair> old = std::move(bucket.pairs);
+    reset(bucket, capacity);
+    const std::size_t mask = capacity - 1;
+    for (const VertexPair& pair : old) {
+      if (pair.first == kInvalidVertex) continue;
+      std::size_t i = home(bucket, pair.first);
+      while (bucket.pairs[i].first != kInvalidVertex) i = (i + 1) & mask;
+      bucket.pairs[i] = pair;
     }
-    pairs.resize(kept);
-    bucket.folded = kept;
   }
 
   VertexProgramEngine& engine_;
@@ -216,9 +258,9 @@ void VertexProgramEngine::exchange(Sink& sink) {
   }
   // The inbox leaves here sorted, so each target's value group is
   // ascending — a deterministic fold order regardless of sender count or
-  // arrival.  Only the self bucket needs a sort (a radix pass, or none
-  // when a combiner already sorted it): encode_pair_set sorts every
-  // peer's run before the wire, so those merge in linear time.  Merging
+  // arrival.  Only the self bucket needs a sort (a radix pass):
+  // encode_pair_set sorts every peer's run before the wire, so those
+  // merge in linear time.  Merging
   // in rank order (not arrival order) keeps every counter a pure
   // function of the inputs.
   sort_pairs(inbox_);

@@ -11,14 +11,16 @@
 //                   id order; its adjacency list is fetched from the
 //                   GraphDB (batched on StreamDB, prefetched when
 //                   enabled) and the kernel emits (target, value)
-//                   messages into per-owner buckets.
+//                   messages into per-owner buckets; with a combiner,
+//                   a bucket is a hash table that combines same-target
+//                   messages as they are emitted.
 //     2. exchange — one message per peer per superstep (empty allowed),
 //                   buckets shipped through the vertex_codec pair wire
 //                   (sort + delta + LEB128 with raw passthrough).  The
 //                   self bucket is sorted, then each peer's already
 //                   sorted run is merged in RANK ORDER, not arrival
-//                   order, so every counter and every floating-point
-//                   reduction is a pure function of the inputs.
+//                   order, so every counter and every kernel fold
+//                   is a pure function of the inputs.
 //     3. apply    — the sorted inbox is grouped by target vertex; the
 //                   kernel folds each group into the
 //                   vertex's state and votes whether the vertex is
@@ -29,9 +31,9 @@
 //                   count are all allreduced, so every rank agrees.
 //
 // Messages are (VertexId, uint64) pairs: label candidates, BFS levels,
-// weighted distances, decrement counts — PageRank bit-casts its doubles
-// (positive IEEE-754 doubles order-preserve as uint64, so the sorted
-// wire also sorts by value and FP sums are partition-independent).
+// weighted distances, decrement counts, and PageRank's fixed-point rank
+// mass (63 fraction bits).  Integer sums are exact, so a sum combiner
+// gives the same ranks however the senders are partitioned.
 //
 // Semi-external-memory contract: per-vertex state is O(local vertices)
 // in memory; adjacency lists are only ever streamed (never retained),
@@ -123,9 +125,11 @@ class VertexProgram {
 
   /// When true, same-target messages pre-combine in the send buckets
   /// (and the local inbox), shrinking the wire.  combine() must be
-  /// associative and commutative; kernels whose fold is order-sensitive
-  /// (floating-point sums) leave this off so the delivered multiset —
-  /// and therefore the result — is identical for every rank count.
+  /// associative and commutative and exact on uint64 (min, integer
+  /// sum): the engine combines in emit order and at any rank count, so
+  /// an order-sensitive fold (a floating-point sum) would change the
+  /// result with the partition.  A combiner kernel must never emit to
+  /// kInvalidVertex, which marks the send table's empty slots.
   [[nodiscard]] virtual bool has_combiner() const { return false; }
   [[nodiscard]] virtual std::uint64_t combine(std::uint64_t a,
                                               std::uint64_t b) const {

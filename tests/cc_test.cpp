@@ -173,6 +173,38 @@ INSTANTIATE_TEST_SUITE_P(Backends, CcBackends,
                            return name.substr(0, name.find('('));
                          });
 
+TEST(ConnectedComponents, PublishesTheEngineCountersOfLpCc) {
+  // connected_components() runs the lp-cc kernel on the VertexProgram
+  // engine; it publishes the engine's vp.* counters next to its cc.*
+  // ones, and they equal those of the same kernel run as "lp-cc".
+  const auto edges =
+      generate_chung_lu({.vertices = 400, .edges = 1500, .seed = 5});
+  ClusterConfig config;
+  config.backend = Backend::kHashMap;
+  config.backend_nodes = 3;
+  MssgCluster cluster(config);
+  cluster.ingest(edges);
+
+  const CcStats stats = cluster.connected_components();
+  const MetricsSnapshot after_cc = cluster.metrics_snapshot();
+  EXPECT_EQ(after_cc.counter("cc.runs"), 3u);  // one per rank
+  EXPECT_EQ(after_cc.counter("cc.iterations"), 3 * stats.iterations);
+  ASSERT_TRUE(after_cc.counters.contains("vp.supersteps"));
+  ASSERT_TRUE(after_cc.counters.contains("vp.combines"));
+  EXPECT_GT(after_cc.counter("vp.combines"), 0u);
+
+  const QueryOutcome lp =
+      cluster.await_query(cluster.submit_analysis("lp-cc", {}));
+  ASSERT_TRUE(lp.ok()) << lp.error;
+  EXPECT_EQ(static_cast<std::uint64_t>(lp.result.at(0)), stats.components);
+  const MetricsSnapshot after_lp = cluster.metrics_snapshot();
+  for (const char* name : {"vp.supersteps", "vp.combines"}) {
+    EXPECT_EQ(after_lp.counter(name) - after_cc.counter(name),
+              after_cc.counter(name))
+        << name;
+  }
+}
+
 TEST(ConnectedComponents, SingleNode) {
   const std::vector<Edge> edges{{0, 1}, {2, 3}};
   ClusterConfig config;

@@ -255,10 +255,10 @@ TEST(VertexProgramEngine, PublishesEngineMetrics) {
 
 /// One-superstep kernel with a sum combiner.  Every vertex emits three
 /// values to each neighbor and a 1 to `v % 7`, so targets repeat both
-/// within and across scatters, and buckets grow large enough to fold
-/// during the scatter as well as at drain.  Counts its own emits and the
-/// distinct (owner bucket, target) pairs they hit; the owner is a
-/// function of the target, so the distinct targets suffice.
+/// within and across scatters, and the send tables grow past their
+/// initial size.  Counts its own emits and the distinct (owner bucket,
+/// target) pairs they hit; the owner is a function of the target, so the
+/// distinct targets suffice.
 class SumFoldProgram final : public VertexProgram {
  public:
   explicit SumFoldProgram(bool combine) : combine_(combine) {}
@@ -340,7 +340,7 @@ SumFoldRun run_sum_fold(const MiniCluster& cluster, bool combine) {
 }
 
 TEST(VertexProgramEngine, CombinerFoldsEqualTargetRuns) {
-  // 4 ranks still see over 8192 pairs per bucket (the mid-scatter fold).
+  // 4 ranks still see thousands of targets per bucket (table growth).
   const auto edges = test_graph(3000, 30000, 13);
   for (const int nodes : {1, 2, 4}) {
     SCOPED_TRACE(nodes);
@@ -352,6 +352,145 @@ TEST(VertexProgramEngine, CombinerFoldsEqualTargetRuns) {
     ASSERT_GT(combined.emits, combined.distinct);
     EXPECT_EQ(combined.combines, combined.emits - combined.distinct);
     EXPECT_EQ(combined.states, reference.states);
+  }
+}
+
+/// A dense sum-combiner kernel with one wide superstep and then sparse
+/// ones.  Superstep 1 sends to every neighbor twice and to 12 of 16384
+/// synthetic targets that no rank stores, so a send table holds more
+/// targets than its initial 1024 slots, even on 4 ranks; later
+/// supersteps send a few messages from one vertex in 97.  Counts emits
+/// and distinct (bucket, target) pairs per superstep; a bucket holds one
+/// owner's targets, so the distinct targets of a superstep suffice.
+class WideThenSparseProgram final : public VertexProgram {
+ public:
+  static constexpr VertexId kSyntheticBase = 1'000'000;
+  static constexpr VertexId kSyntheticTargets = 16384;
+
+  explicit WideThenSparseProgram(bool combine) : combine_(combine) {}
+
+  void begin(const VertexProgramInfo& info) override { ranks_ = info.ranks; }
+
+  std::uint64_t init(VertexId /*v*/, bool& active) override {
+    active = true;
+    return 0;
+  }
+
+  [[nodiscard]] bool dense() const override { return true; }
+  [[nodiscard]] bool has_combiner() const override { return combine_; }
+  [[nodiscard]] std::uint64_t combine(std::uint64_t a,
+                                      std::uint64_t b) const override {
+    return a + b;
+  }
+
+  void scatter(VertexId v, std::uint64_t& /*state*/,
+               std::span<const VertexId> neighbors,
+               MessageSink& sink) override {
+    if (step_ == 1) {
+      for (const VertexId u : neighbors) {
+        send(sink, u, v + 1);
+        send(sink, u, 1);
+      }
+      for (VertexId j = 0; j < 12; ++j) {
+        send(sink, kSyntheticBase + (v * 37 + j * 1009) % kSyntheticTargets,
+             j + 1);
+      }
+      return;
+    }
+    if (v % 97 != step_) return;
+    send(sink, v % 5, v);
+    send(sink, v % 5, 1);
+    if (!neighbors.empty()) send(sink, neighbors.front(), 2);
+  }
+
+  bool apply(VertexId /*v*/, std::uint64_t& state,
+             std::span<const std::uint64_t> messages,
+             std::span<const VertexId> /*neighbors*/) override {
+    for (const std::uint64_t m : messages) state += m;
+    return false;
+  }
+
+  void set_aggregate(std::uint64_t /*global_min*/) override {
+    // Called once per superstep, after apply: close this superstep.
+    distinct += step_targets_.size();
+    for (int q = 0; q < ranks_; ++q) {
+      const auto in_bucket = static_cast<std::uint64_t>(std::count_if(
+          step_targets_.begin(), step_targets_.end(), [&](VertexId t) {
+            return t % static_cast<VertexId>(ranks_) ==
+                   static_cast<VertexId>(q);
+          }));
+      widest_bucket = std::max(widest_bucket, in_bucket);
+    }
+    step_targets_.clear();
+    ++step_;
+  }
+
+  [[nodiscard]] bool keep_running(std::uint64_t superstep) const override {
+    return superstep < 5;
+  }
+
+  std::uint64_t emits = 0;
+  std::uint64_t distinct = 0;       ///< summed over closed supersteps
+  std::uint64_t widest_bucket = 0;  ///< most targets in one bucket and step
+
+ private:
+  void send(MessageSink& sink, VertexId target, std::uint64_t value) {
+    ++emits;
+    step_targets_.insert(target);
+    sink.emit(target, value);
+  }
+
+  const bool combine_;
+  int ranks_ = 1;
+  std::uint64_t step_ = 1;
+  std::set<VertexId> step_targets_;
+};
+
+TEST(VertexProgramEngine, CombinerTableGrowsThenServesSparseSupersteps) {
+  const auto edges = test_graph(2000, 9000, 23);
+  for (const int nodes : {1, 2, 4}) {
+    MiniCluster cluster(Backend::kHashMap, nodes, edges);
+    // Stopping after 1, 2, ... supersteps checks the counter superstep by
+    // superstep: each superstep's combines are its emits minus its
+    // distinct (bucket, target) pairs.
+    for (const std::uint64_t supersteps : {1u, 2u, 3u, 5u}) {
+      SCOPED_TRACE(::testing::Message() << nodes << " nodes, " << supersteps
+                                        << " supersteps");
+      std::map<bool, std::map<VertexId, std::uint64_t>> states;
+      std::uint64_t emits = 0;
+      std::uint64_t distinct = 0;
+      std::uint64_t widest_bucket = 0;
+      std::uint64_t combines = 0;
+      for (const bool combine : {false, true}) {
+        std::vector<MetricsRegistry> registries(cluster.nodes());
+        std::mutex mutex;
+        run_cluster(cluster.nodes(), [&](Communicator& comm) {
+          VertexProgramOptions options;
+          options.metrics = &registries[comm.rank()];
+          options.max_supersteps = supersteps;
+          VertexProgramEngine engine(comm, *cluster.dbs[comm.rank()],
+                                     options);
+          WideThenSparseProgram program(combine);
+          (void)engine.run(program);
+          std::lock_guard lock(mutex);
+          engine.for_each_state([&](VertexId v, std::uint64_t state) {
+            EXPECT_TRUE(states[combine].emplace(v, state).second)
+                << "vertex " << v;
+          });
+          if (!combine) return;
+          emits += program.emits;
+          distinct += program.distinct;
+          widest_bucket = std::max(widest_bucket, program.widest_bucket);
+        });
+        MetricsSnapshot snap;
+        for (const auto& reg : registries) snap.merge(reg.snapshot());
+        if (combine) combines = snap.counter("vp.combines");
+      }
+      EXPECT_GT(widest_bucket, 1024u);  // the wide superstep grew a table
+      ASSERT_GT(emits, distinct);
+      EXPECT_EQ(combines, emits - distinct);
+      EXPECT_EQ(states[true], states[false]);
+    }
   }
 }
 
@@ -534,9 +673,9 @@ TEST(AnalyticsReference, PageRankMatchesPowerIterationAndIsPartitionStable) {
   EXPECT_EQ(one_stats.supersteps, 8u);
   EXPECT_NEAR(one_stats.rank_sum, 1.0, 1e-6);  // no dangling mass here
 
-  // Cross-partition determinism: the combiner-less kernel folds each
-  // vertex's contributions in sorted-value order, so 3-node ranks are
-  // BIT-identical to the 1-node run, not merely close.
+  // Cross-partition determinism: the kernel sums fixed-point rank mass,
+  // and integer sums are exact whichever rank combines them, so 3-node
+  // ranks are BIT-identical to the 1-node run, not merely close.
   const auto [three_ranks, three_stats] = run(3);
   ASSERT_EQ(three_ranks.size(), one_ranks.size());
   for (std::size_t i = 0; i < one_ranks.size(); ++i) {
@@ -547,6 +686,98 @@ TEST(AnalyticsReference, PageRankMatchesPowerIterationAndIsPartitionStable) {
   }
   EXPECT_EQ(one_stats.top_vertex, three_stats.top_vertex);
   EXPECT_EQ(one_stats.top_rank, three_stats.top_rank);
+}
+
+TEST(AnalyticsReference, PageRankCombinesExactlyAroundAHubAndASink) {
+  // Directed graph: a random undirected core on 0..2199, hub 0 linked
+  // both ways to every other core vertex (in-degree over 2000), and
+  // kSink, which every 50th core vertex links to.  kSink has in-edges
+  // but no out-edges: it is dangling, and since a vertex is stored only
+  // where it has out-edges, no rank stores it.
+  constexpr VertexId kCore = 2200;
+  constexpr VertexId kSink = 2300;
+  std::vector<Edge> directed;
+  for (const Edge& e : test_graph(kCore, 5000, 71)) {
+    directed.push_back(e);
+    directed.push_back(Edge{e.dst, e.src});
+  }
+  for (VertexId v = 1; v < kCore; ++v) {
+    directed.push_back(Edge{v, 0});
+    directed.push_back(Edge{0, v});
+    if (v % 50 == 3) directed.push_back(Edge{v, kSink});
+  }
+  const MemoryGraph reference(kSink + 1, directed, /*symmetrize=*/false);
+  ASSERT_GE(std::count_if(directed.begin(), directed.end(),
+                          [](const Edge& e) { return e.dst == 0; }),
+            2000);
+  const auto expected = reference_pagerank(reference, 8, 0.85);
+  ASSERT_TRUE(expected.contains(kSink));
+
+  struct Run {
+    std::vector<std::pair<VertexId, double>> ranks;
+    PageRankStats stats;
+    std::uint64_t combines = 0;
+  };
+  auto run = [&](int nodes) {
+    std::vector<TempDir> dirs(nodes);
+    std::vector<std::unique_ptr<GraphDB>> dbs;
+    std::vector<std::vector<Edge>> per_node(nodes);
+    for (const Edge& e : directed) per_node[e.src % nodes].push_back(e);
+    for (int n = 0; n < nodes; ++n) {
+      dbs.push_back(make_db(Backend::kHashMap, dirs[n]));
+      dbs.back()->store_edges(per_node[n]);
+      dbs.back()->finalize_ingest();
+    }
+    Run out;
+    std::vector<MetricsRegistry> registries(nodes);
+    std::mutex mutex;
+    run_cluster(nodes, [&](Communicator& comm) {
+      PageRankOptions options;
+      options.iterations = 8;
+      options.engine.metrics = &registries[comm.rank()];
+      std::vector<std::pair<VertexId, double>> local;
+      const auto s =
+          parallel_pagerank(comm, *dbs[comm.rank()], options, &local);
+      std::lock_guard lock(mutex);
+      out.ranks.insert(out.ranks.end(), local.begin(), local.end());
+      if (comm.rank() == 0) out.stats = s;
+    });
+    std::sort(out.ranks.begin(), out.ranks.end());
+    MetricsSnapshot snap;
+    for (const auto& reg : registries) snap.merge(reg.snapshot());
+    out.combines = snap.counter("vp.combines");
+    return out;
+  };
+
+  const Run one = run(1);
+  ASSERT_EQ(one.ranks.size(), expected.size());
+  double sum = 0;
+  for (const auto& [v, rank] : one.ranks) {
+    EXPECT_NEAR(rank, expected.at(v), 1e-12) << "vertex " << v;
+    sum += rank;
+  }
+  EXPECT_EQ(one.stats.vertices, expected.size() - 1);  // kSink is unstored
+  EXPECT_EQ(one.stats.top_vertex, 0u);
+  EXPECT_LE(one.stats.rank_sum, 1.0);
+  EXPECT_LT(one.stats.rank_sum, 1.0 - 1e-6);  // kSink's mass is lost
+  EXPECT_NEAR(one.stats.rank_sum, sum, 1e-12);
+  EXPECT_GT(one.combines, 0u);
+
+  for (const int nodes : {2, 3, 4}) {
+    SCOPED_TRACE(::testing::Message() << nodes << " nodes");
+    const Run other = run(nodes);
+    EXPECT_GT(other.combines, 0u);
+    ASSERT_EQ(other.ranks.size(), one.ranks.size());
+    for (std::size_t i = 0; i < one.ranks.size(); ++i) {
+      EXPECT_EQ(other.ranks[i].first, one.ranks[i].first);
+      EXPECT_EQ(other.ranks[i].second, one.ranks[i].second)
+          << "rank of vertex " << one.ranks[i].first
+          << " differs bit-for-bit across partitionings";
+    }
+    EXPECT_EQ(other.stats.top_vertex, one.stats.top_vertex);
+    EXPECT_EQ(other.stats.top_rank, one.stats.top_rank);
+    EXPECT_EQ(other.stats.rank_sum, one.stats.rank_sum);
+  }
 }
 
 TEST(AnalyticsReference, KCoreMatchesIterativePeeling) {

@@ -83,6 +83,10 @@ FILTER+=':ServeScheduler.*:ServeAccounting.*:ServeLiveIngest.*'
 # live paths (asan), and the snapshot stress suites above race the live
 # copy against a writer's capture (tsan).
 FILTER+=':Crc32c.*:SnapshotCowGrdb.DeepSubblockReadsKeepTheirOffsets'
+# Cluster connected components: MssgCluster::connected_components() runs
+# the VertexProgram engine on every rank thread and publishes its vp.*
+# counters into the per-rank registries from those threads.
+FILTER+=':ConnectedComponents.*:CcBackends.*'
 export MSSG_CRASH_SWEEP_STRIDE="${MSSG_CRASH_SWEEP_STRIDE:-7}"
 
 run_preset() {
