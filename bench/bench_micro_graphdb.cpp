@@ -24,15 +24,18 @@ struct SingleNode {
   std::unique_ptr<GraphDB> db;
 };
 
-/// One warm instance per backend, shared across benchmark repetitions.
-SingleNode& node_for(Backend backend, const bench::Workload& w) {
+/// One warm instance per backend (and snapshot setting), shared across
+/// benchmark repetitions.
+SingleNode& node_for(Backend backend, const bench::Workload& w,
+                     bool snapshots = false) {
   static std::map<std::string, std::unique_ptr<SingleNode>> cache;
-  auto& slot = cache[to_string(backend)];
+  auto& slot = cache[to_string(backend) + (snapshots ? "/snapshots" : "")];
   if (!slot) {
     auto node = std::make_unique<SingleNode>();
     GraphDBConfig config;
     config.dir = node->dir.path();
     config.cache_bytes = 8 * w.directed_bytes();  // warm regime
+    config.snapshots = snapshots;
     node->db = make_graphdb(backend, config);
     std::vector<Edge> directed;
     directed.reserve(w.edges.size() * 2);
@@ -46,6 +49,9 @@ SingleNode& node_for(Backend backend, const bench::Workload& w) {
       node->db->store_edges(std::span(directed).subspan(i, n));
     }
     node->db->finalize_ingest();
+    // Commit the load as an epoch a pin can see: HashMap's
+    // finalize_ingest leaves it uncommitted.
+    if (snapshots) node->db->flush();
     slot = std::move(node);
   }
   return *slot;
@@ -65,6 +71,32 @@ void adjacency_reads(benchmark::State& state, Backend backend,
   state.SetItemsProcessed(state.iterations());
   state.counters["entries_per_read"] =
       static_cast<double>(entries) / static_cast<double>(state.iterations());
+}
+
+/// adjacency_reads under a pinned snapshot: what each read pays to
+/// resolve the epoch (version shelf, then the live bytes under the
+/// version lock) on top of the plain warm read.
+void snapshot_adjacency_reads(benchmark::State& state, Backend backend,
+                              const bench::Workload& w) {
+  auto& node = node_for(backend, w, /*snapshots=*/true);
+  SnapshotScope scope(node.db->begin_snapshot());
+  Rng rng(41);
+  std::vector<VertexId> out;
+  std::uint64_t entries = 0;
+  const std::uint64_t reads_before = node.db->io_stats().txn_snapshot_reads;
+  for (auto _ : state) {
+    out.clear();
+    node.db->get_adjacency(rng.below(w.spec.vertices), out);
+    entries += out.size();
+  }
+  const auto iterations = static_cast<double>(state.iterations());
+  state.SetItemsProcessed(state.iterations());
+  state.counters["entries_per_read"] =
+      static_cast<double>(entries) / iterations;
+  state.counters["snapshot_reads_per_read"] =
+      static_cast<double>(node.db->io_stats().txn_snapshot_reads -
+                          reads_before) /
+      iterations;
 }
 
 void full_ingest(benchmark::State& state, Backend backend,
@@ -109,6 +141,16 @@ int main(int argc, char** argv) {
             .c_str(),
         [&w, backend](benchmark::State& state) {
           adjacency_reads(state, backend, w);
+        });
+  }
+  for (const auto backend :
+       {Backend::kArray, Backend::kHashMap, Backend::kGrDB,
+        Backend::kKVStore, Backend::kRelational}) {
+    benchmark::RegisterBenchmark(
+        (std::string("BM_SnapshotAdjacency/") + bench::short_name(backend))
+            .c_str(),
+        [&w, backend](benchmark::State& state) {
+          snapshot_adjacency_reads(state, backend, w);
         });
   }
   for (const auto backend :

@@ -22,19 +22,25 @@ constexpr std::uint64_t kMetaTag = ~std::uint64_t{0};
 
 // ---- SubblockRef -----------------------------------------------------------
 
-std::uint64_t GrDB::SubblockRef::get(std::uint64_t i) const {
+namespace {
+std::uint64_t entry_at(const std::byte* subblock, std::uint64_t i) {
   std::uint64_t value;
-  const std::byte* base = view.empty() ? handle.data().data() : view.data();
-  std::memcpy(&value, base + offset + i * grdb::kEntryBytes, sizeof(value));
+  std::memcpy(&value, subblock + i * grdb::kEntryBytes, sizeof(value));
   return value;
+}
+}  // namespace
+
+std::uint64_t GrDB::SubblockRef::get(std::uint64_t i) const {
+  return entry_at(handle.data().data() + offset, i);
 }
 
 void GrDB::SubblockRef::set(std::uint64_t i, std::uint64_t value) {
-  // Mapped refs are read-only; every mutation path unmaps first and
-  // never runs under a SequentialScanScope.
-  MSSG_CHECK(view.empty());
   std::memcpy(handle.mutable_data().data() + offset + i * grdb::kEntryBytes,
               &value, sizeof(value));
+}
+
+std::uint64_t GrDB::SubblockView::get(std::uint64_t i) const {
+  return entry_at(bytes.data(), i);
 }
 
 // ---- Construction / persistence -------------------------------------------
@@ -457,66 +463,65 @@ void GrDB::load_meta() {
 
 // ---- Sub-block management --------------------------------------------------
 
-GrDB::SubblockRef GrDB::pin_subblock(int level, std::uint64_t subblock,
-                                     bool for_write) {
+GrDB::SubblockRef GrDB::pin_subblock(int level, std::uint64_t subblock) {
   const auto addr = grdb::locate(options_.geometry, level, subblock);
+  // COW boundary: shelve the pre-image before the caller can mutate.
+  capture_version(level, addr.block,
+                  (static_cast<std::uint64_t>(level) << 48) | addr.block);
   SubblockRef ref;
+  ref.handle = cache_.get(levels_[level].store_id, addr.block);
   ref.offset = addr.block_offset;
   ref.entries = levels_[level].spec.entries_per_subblock;
-  const std::uint64_t key =
-      (static_cast<std::uint64_t>(level) << 48) | addr.block;
-  if (for_write) {
-    // COW boundary: shelve the pre-image before the caller can mutate.
-    capture_version(level, addr.block, key);
-    ref.handle = cache_.get(levels_[level].store_id, addr.block);
-    return ref;
-  }
-  const Snapshot* snap =
-      snapshots_enabled_ ? SnapshotScope::active_for(this) : nullptr;
+  return ref;
+}
+
+template <typename Visit>
+void GrDB::read_subblock(int level, std::uint64_t subblock,
+                         const Snapshot* snap, Visit&& visit) {
+  const auto addr = grdb::locate(options_.geometry, level, subblock);
+  const std::uint64_t bytes = levels_[level].spec.subblock_bytes();
+  // Every path views a whole block and reads the sub-block at its offset.
+  const auto visit_block = [&](std::span<const std::byte> block) {
+    visit(SubblockView{block.subspan(addr.block_offset, bytes)});
+  };
+  const auto cached = [&] {
+    cache_.read(levels_[level].store_id, addr.block, visit_block);
+  };
   if (snap != nullptr) {
     // Snapshot read.  Versions first: a block mutated after the pin MUST
-    // serve its shelved pre-image, whatever the live/mapped bytes say.
-    // A version is the whole block (one capture covers all its
-    // sub-blocks) and is read at block_offset; the mapped and live
-    // copies hold just this sub-block and are read at offset 0.
-    const std::uint64_t bytes = levels_[level].spec.subblock_bytes();
+    // serve its shelved pre-image (the whole block, as one capture covers
+    // all its sub-blocks), whatever the live or mapped bytes say.
+    ++stats_.txn_snapshot_reads;
+    const std::uint64_t key =
+        (static_cast<std::uint64_t>(level) << 48) | addr.block;
+    const auto shelved = [&](const std::vector<std::byte>& version) {
+      visit_block(version);
+    };
     if (mmap_enabled_ && mapped_active_.load(std::memory_order_acquire)) {
-      if (auto ver = versions_.lookup(key, snap->epoch())) {
-        ++stats_.txn_snapshot_reads;
-        ref.view = std::span<const std::byte>(ver->data(), ver->size());
-        ref.keepalive = std::move(ver);
-        return ref;
+      if (auto version = versions_.lookup(key, snap->epoch())) {
+        shelved(*version);
+        return;
       }
-      // Then the sealed mapping (copy + revalidate — dodges the cache and
-      // its mutex entirely, which is where concurrent readers win).
-      if (auto copy = mapped_snapshot_copy(level, addr, key, bytes)) {
-        ++stats_.txn_snapshot_reads;
-        ref.offset = 0;
-        ref.view = std::span<const std::byte>(copy->data(), copy->size());
-        ref.keepalive = std::move(copy);
-        return ref;
+      // Then the sealed mapping, which dodges the cache and its mutex
+      // entirely (where concurrent readers win): decode in place, then
+      // revalidate.  A capture that raced the decode discards it, and the
+      // version path below visits again.
+      const auto view = mapped_snapshot_block(level, addr.block, key);
+      if (!view.empty()) {
+        visit_block(view);
+        if (!captured_since_map(key)) return;
       }
     }
-    // Else the version or an atomic live copy: VersionStore::read holds
-    // the version mutex across the copy, so a writer's first mutation of
-    // this block this epoch (whose capture needs that mutex) cannot begin
-    // mid-copy.
-    bool live = false;
-    auto copy = versions_.read(key, snap->epoch(), [&] {
-      live = true;
-      BlockHandle h = cache_.get(levels_[level].store_id, addr.block);
-      const auto sub = h.data().subspan(addr.block_offset, bytes);
-      return std::vector<std::byte>(sub.begin(), sub.end());
-    });
-    ++stats_.txn_snapshot_reads;
-    if (live) ref.offset = 0;
-    ref.view = std::span<const std::byte>(copy->data(), copy->size());
-    ref.keepalive = std::move(copy);
-    return ref;
+    // Else the version, or the cache frame read under the version mutex:
+    // a writer's first mutation of this block this epoch (whose capture
+    // needs that mutex) cannot begin mid-read.  Lock order: version, then
+    // cache.
+    versions_.visit(key, snap->epoch(), shelved, cached);
+    return;
   }
   // Sealed zero-copy path: a sequential scan (SequentialScanScope) on a
-  // mapped store reads the block in place — no cache frame, no copy.
-  // Point probes (no scope) keep the scan-resistant 2Q cache; an armed
+  // mapped store reads the block in place — no cache frame.  Point
+  // probes (no scope) keep the scan-resistant 2Q cache; an armed
   // FaultInjector always takes the pread path so fault indices match
   // what the crash sweeps were calibrated against.  The initialized
   // bitmap is the frozen map-time copy: identical to the live one here
@@ -526,17 +531,17 @@ GrDB::SubblockRef GrDB::pin_subblock(int level, std::uint64_t subblock,
       !FaultInjector::instance().enabled() && mapped_or_map()) {
     const DynamicBitset& init = mapped_init_[level];
     if (addr.block < init.size() && init.test(addr.block)) {
-      ref.view = mapped_[level]->block(addr.block);
-      if (!ref.view.empty()) {
+      const auto view = mapped_[level]->block(addr.block);
+      if (!view.empty()) {
         ++stats_.mmap_zero_copy_reads;
-        return ref;
+        visit_block(view);
+        return;
       }
     }
     // Uninitialized (the cache reader synthesizes all-0xFF without
     // touching disk) or unbacked: fall through to the cache.
   }
-  ref.handle = cache_.get(levels_[level].store_id, addr.block);
-  return ref;
+  cached();
 }
 
 void GrDB::capture_version(int level, std::uint64_t block,
@@ -550,9 +555,12 @@ void GrDB::capture_version(int level, std::uint64_t block,
     // Read the current bytes through the cache: a never-written block
     // synthesizes its all-0xFF "empty" image, which is exactly the
     // pre-image a fresh block needs.
-    BlockHandle h = cache_.get(levels_[level].store_id, block);
-    const auto data = h.data();
-    return std::vector<std::byte>(data.begin(), data.end());
+    std::vector<std::byte> image;
+    cache_.read(levels_[level].store_id, block,
+                [&image](std::span<const std::byte> data) {
+                  image.assign(data.begin(), data.end());
+                });
+    return image;
   });
   if (captured) {
     ++stats_.txn_cow_pages;
@@ -561,29 +569,18 @@ void GrDB::capture_version(int level, std::uint64_t block,
   }
 }
 
-std::shared_ptr<const std::vector<std::byte>> GrDB::mapped_snapshot_copy(
-    int level, const grdb::SubblockAddress& addr, std::uint64_t key,
-    std::uint64_t bytes) {
-  {
-    std::lock_guard<std::mutex> lk(stale_mu_);
-    if (cow_since_map_.contains(key)) return nullptr;
-  }
+std::span<const std::byte> GrDB::mapped_snapshot_block(int level,
+                                                       std::uint64_t block,
+                                                       std::uint64_t key) {
+  if (captured_since_map(key)) return {};
   const DynamicBitset& init = mapped_init_[level];
-  if (addr.block >= init.size() || !init.test(addr.block)) return nullptr;
-  const std::span<const std::byte> view = mapped_[level]->block(addr.block);
-  if (view.empty()) return nullptr;
-  const auto sub = view.subspan(addr.block_offset, bytes);
-  auto copy = std::make_shared<std::vector<std::byte>>(sub.begin(), sub.end());
-  {
-    // Revalidate after the copy: if the block was COW-captured while we
-    // copied, a subsequent eviction/flush may have been rewriting the
-    // mapped file bytes under us — discard and take the version path.
-    // (The capture publishes to cow_since_map_ BEFORE the first
-    // mutation, so a clean recheck proves the copy saw quiescent bytes.)
-    std::lock_guard<std::mutex> lk(stale_mu_);
-    if (cow_since_map_.contains(key)) return nullptr;
-  }
-  return copy;
+  if (block >= init.size() || !init.test(block)) return {};
+  return mapped_[level]->block(block);
+}
+
+bool GrDB::captured_since_map(std::uint64_t key) const {
+  std::lock_guard<std::mutex> lk(stale_mu_);
+  return cow_since_map_.contains(key);
 }
 
 void GrDB::commit_epoch() {
@@ -652,7 +649,7 @@ bool GrDB::try_map_sealed() {
           options_.geometry.blocks_per_file(static_cast<int>(l)),
           // Mirrors the cache's verify hook exactly: same counter, same
           // error text — bit rot classifies identically on both paths.
-          // pin_subblock only hands the source initialized blocks, which
+          // read_subblock only hands the source initialized blocks, which
           // flush gave a sidecar CRC; the guard matches the hook's.
           [this, l](std::uint64_t block, std::span<const std::byte> data) {
             const std::vector<std::uint32_t>& crc = mapped_crc_[l];
@@ -719,7 +716,7 @@ void GrDB::rearm_mmap() {
     std::lock_guard<std::mutex> lock(map_mu_);
     if (!mapped_active_.load(std::memory_order_relaxed)) mmap_retry_ = true;
   }
-  // With snapshots on, readers never map (pin_subblock only tests
+  // With snapshots on, readers never map (read_subblock only tests
   // mapped_active_, since freezing the bitmaps must not race the
   // writer): map eagerly from this writer context at every sealed
   // boundary instead.
@@ -737,7 +734,7 @@ std::uint64_t GrDB::allocate_subblock(int level) {
     subblock = lvl.alloc++;
   }
   // Fresh sub-blocks start all-empty (a recycled one may hold stale data).
-  SubblockRef ref = pin_subblock(level, subblock, /*for_write=*/true);
+  SubblockRef ref = pin_subblock(level, subblock);
   std::memset(ref.handle.mutable_data().data() + ref.offset, 0xFF,
               lvl.spec.subblock_bytes());
   return subblock;
@@ -751,13 +748,16 @@ void GrDB::release_subblock(int level, std::uint64_t subblock) {
 // ---- Chain walking ---------------------------------------------------------
 
 std::pair<int, std::uint64_t> GrDB::find_tail(
-    VertexId v, std::vector<std::pair<int, std::uint64_t>>* track) {
+    VertexId v, const Snapshot* snap,
+    std::vector<std::pair<int, std::uint64_t>>* track) {
   int level = 0;
   std::uint64_t subblock = v;
   while (true) {
     if (track != nullptr) track->emplace_back(level, subblock);
-    SubblockRef ref = pin_subblock(level, subblock);
-    const std::uint64_t last = ref.get(ref.entries - 1);
+    std::uint64_t last = 0;
+    read_subblock(level, subblock, snap, [&last](SubblockView sb) {
+      last = sb.get(sb.entries() - 1);
+    });
     if (grdb::classify(last) != EntryKind::kPointer) return {level, subblock};
     level = grdb::pointer_level(last);
     subblock = grdb::pointer_subblock(last);
@@ -766,7 +766,7 @@ std::pair<int, std::uint64_t> GrDB::find_tail(
 
 std::vector<std::pair<int, std::uint64_t>> GrDB::chain_of(VertexId v) {
   std::vector<std::pair<int, std::uint64_t>> chain;
-  find_tail(v, &chain);
+  find_tail(v, active_snapshot(), &chain);
   return chain;
 }
 
@@ -778,7 +778,7 @@ void GrDB::poke_entry(int level, std::uint64_t subblock, std::uint64_t index,
   // reader is live.
   std::lock_guard<std::mutex> lock(write_mu_);
   unmap_sealed();
-  SubblockRef ref = pin_subblock(level, subblock, /*for_write=*/true);
+  SubblockRef ref = pin_subblock(level, subblock);
   MSSG_CHECK(index < ref.entries);
   ref.set(index, value);
   dirty_since_flush_.store(true, std::memory_order_relaxed);
@@ -835,8 +835,7 @@ void GrDB::drop_os_page_cache() const {
 // ---- Reads -----------------------------------------------------------------
 
 void GrDB::get_adjacency(VertexId v, std::vector<VertexId>& out) {
-  const Snapshot* snap =
-      snapshots_enabled_ ? SnapshotScope::active_for(this) : nullptr;
+  const Snapshot* snap = active_snapshot();
   if (snap != nullptr) {
     // The pinned extent over-approximates the committed one; vertices it
     // admits that were only stored after the pin resolve to their all-0xFF
@@ -850,52 +849,50 @@ void GrDB::get_adjacency(VertexId v, std::vector<VertexId>& out) {
   int level = 0;
   std::uint64_t subblock = v;
   while (true) {
-    SubblockRef ref = pin_subblock(level, subblock);
-    bool done = true;
-    for (std::uint64_t i = 0; i < ref.entries; ++i) {
-      const std::uint64_t entry = ref.get(i);
-      switch (grdb::classify(entry)) {
-        case EntryKind::kVertex:
-          out.push_back(grdb::entry_vertex(entry));
-          break;
-        case EntryKind::kEmpty:
-          return;  // slots are filled left-to-right; first empty ends it
-        case EntryKind::kPointer:
-          level = grdb::pointer_level(entry);
-          subblock = grdb::pointer_subblock(entry);
-          done = false;
-          i = ref.entries;  // break the for; continue outer loop
-          break;
+    const std::size_t mark = out.size();
+    std::uint64_t next = grdb::kEmptySlot;
+    read_subblock(level, subblock, snap, [&](SubblockView sb) {
+      out.resize(mark);  // a redone visit replaces the discarded decode
+      next = grdb::kEmptySlot;
+      for (std::uint64_t i = 0; i < sb.entries(); ++i) {
+        const std::uint64_t entry = sb.get(i);
+        switch (grdb::classify(entry)) {
+          case EntryKind::kVertex:
+            out.push_back(grdb::entry_vertex(entry));
+            break;
+          case EntryKind::kEmpty:
+            return;  // slots are filled left-to-right; first empty ends it
+          case EntryKind::kPointer:
+            next = entry;  // always the last slot
+            return;
+        }
       }
-    }
-    if (done) return;
+    });
+    if (next == grdb::kEmptySlot) return;
+    level = grdb::pointer_level(next);
+    subblock = grdb::pointer_subblock(next);
   }
 }
 
 void GrDB::for_each_vertex(const std::function<bool(VertexId)>& visit) {
-  const Snapshot* snap =
-      snapshots_enabled_ ? SnapshotScope::active_for(this) : nullptr;
+  const Snapshot* snap = active_snapshot();
+  VertexId end = 0;
   if (snap != nullptr) {
-    if (!snap->nonempty()) return;
     // Over-included vertices (stored after the pin) read their empty
     // pre-image and are skipped — the sweep sees exactly the epoch.
-    SequentialScanScope scan_scope;
-    for (VertexId v = 0; v < snap->extent(); ++v) {
-      SubblockRef ref = pin_subblock(0, v);
-      if (grdb::classify(ref.get(0)) == EntryKind::kEmpty) continue;
-      if (!visit(v)) return;
-    }
-    return;
+    if (snap->nonempty()) end = snap->extent();
+  } else if (any_data_.load(std::memory_order_relaxed)) {
+    end = max_vertex_.load(std::memory_order_relaxed) + 1;
   }
-  if (!any_data_.load(std::memory_order_relaxed)) return;
   // The level-0 sweep is the canonical sequential scan — mapped-path
   // eligible regardless of what the caller installed.
   SequentialScanScope scan_scope;
-  const VertexId last = max_vertex_.load(std::memory_order_relaxed);
-  for (VertexId v = 0; v <= last; ++v) {
-    SubblockRef ref = pin_subblock(0, v);
-    if (grdb::classify(ref.get(0)) == EntryKind::kEmpty) continue;
-    if (!visit(v)) return;
+  for (VertexId v = 0; v < end; ++v) {
+    bool stored = false;
+    read_subblock(0, v, snap, [&stored](SubblockView sb) {
+      stored = grdb::classify(sb.get(0)) != EntryKind::kEmpty;
+    });
+    if (stored && !visit(v)) return;
   }
 }
 
@@ -927,7 +924,7 @@ void GrDB::prefetch(std::span<const VertexId> vertices) {
     return;
   }
   for (const std::uint64_t block : blocks) {
-    BlockHandle handle = cache_.get(levels_[0].store_id, block);
+    cache_.read(levels_[0].store_id, block, [](std::span<const std::byte>) {});
   }
 }
 
@@ -966,9 +963,12 @@ void GrDB::append(VertexId v, std::span<const VertexId> neighbors) {
   std::uint64_t prev_subblock = 0;
   int level = 0;
   std::uint64_t subblock = v;
+  // The writer extends the live chain, whatever snapshot its thread holds.
   while (true) {
-    SubblockRef ref = pin_subblock(level, subblock);
-    const std::uint64_t last = ref.get(ref.entries - 1);
+    std::uint64_t last = 0;
+    read_subblock(level, subblock, nullptr, [&last](SubblockView sb) {
+      last = sb.get(sb.entries() - 1);
+    });
     if (grdb::classify(last) != EntryKind::kPointer) break;
     prev_level = level;
     prev_subblock = subblock;
@@ -976,7 +976,7 @@ void GrDB::append(VertexId v, std::span<const VertexId> neighbors) {
     subblock = grdb::pointer_subblock(last);
   }
 
-  SubblockRef ref = pin_subblock(level, subblock, /*for_write=*/true);
+  SubblockRef ref = pin_subblock(level, subblock);
   std::uint64_t d = ref.entries;
   // First empty slot; d means the sub-block is completely full.
   std::uint64_t idx = 0;
@@ -1004,11 +1004,11 @@ void GrDB::append(VertexId v, std::span<const VertexId> neighbors) {
         level < last_level) {
       const std::uint64_t new_subblock = allocate_subblock(next_level);
       SubblockRef new_ref =
-          pin_subblock(next_level, new_subblock, /*for_write=*/true);
+          pin_subblock(next_level, new_subblock);
       for (std::uint64_t i = 0; i < idx; ++i) new_ref.set(i, ref.get(i));
       MSSG_CHECK(prev_level >= 0);
       SubblockRef parent =
-          pin_subblock(prev_level, prev_subblock, /*for_write=*/true);
+          pin_subblock(prev_level, prev_subblock);
       parent.set(parent.entries - 1,
                  grdb::make_pointer_entry(next_level, new_subblock));
       release_subblock(level, subblock);
@@ -1026,7 +1026,7 @@ void GrDB::append(VertexId v, std::span<const VertexId> neighbors) {
     if (idx == d) displaced = ref.get(d - 1);  // full: relocate last entry
     const std::uint64_t new_subblock = allocate_subblock(next_level);
     SubblockRef new_ref =
-        pin_subblock(next_level, new_subblock, /*for_write=*/true);
+        pin_subblock(next_level, new_subblock);
     ref.set(d - 1, grdb::make_pointer_entry(next_level, new_subblock));
     prev_level = level;
     prev_subblock = subblock;
@@ -1052,6 +1052,10 @@ GrDB::VerifyReport GrDB::verify() {
   auto complain = [&report](std::string message) {
     if (report.errors.size() < 64) report.errors.push_back(std::move(message));
   };
+  // One sub-block's raw slots, checked outside the read so complaints
+  // never run under the cache mutex.
+  std::vector<std::uint64_t> slots;
+  const Snapshot* snap = active_snapshot();
 
   for (VertexId v = 0; v <= max_vertex_; ++v) {
     int level = 0;
@@ -1068,9 +1072,13 @@ GrDB::VerifyReport GrDB::verify() {
                  std::to_string(hop_limit) + " sub-blocks (cycle?)");
         break;
       }
-      SubblockRef ref;
       try {
-        ref = pin_subblock(level, subblock);
+        read_subblock(level, subblock, snap, [&slots](SubblockView sb) {
+          slots.clear();
+          for (std::uint64_t i = 0; i < sb.entries(); ++i) {
+            slots.push_back(sb.get(i));
+          }
+        });
       } catch (const Error& e) {
         // A block that cannot even be read (sidecar checksum failure,
         // I/O error) is a finding, not a reason for the fsck to die.
@@ -1080,56 +1088,48 @@ GrDB::VerifyReport GrDB::verify() {
       bool saw_empty = false;
       std::uint64_t next_subblock = 0;
       int next_level = -1;
-      for (std::uint64_t i = 0; i < ref.entries; ++i) {
-        std::uint64_t entry;
-        try {
-          entry = ref.get(i);
-          switch (grdb::classify(entry)) {
-            case EntryKind::kVertex:
-              if (saw_empty) {
-                complain("vertex " + std::to_string(v) +
-                         ": entry after empty slot at level " +
-                         std::to_string(level));
-              }
-              ++report.entries;
-              if (!chain_counted) {
-                ++report.chains_checked;
-                chain_counted = true;
-              }
-              break;
-            case EntryKind::kEmpty:
-              saw_empty = true;
-              break;
-            case EntryKind::kPointer: {
-              if (i + 1 != ref.entries) {
-                complain("vertex " + std::to_string(v) +
-                         ": pointer not in last slot");
-              }
-              next_level = grdb::pointer_level(entry);
-              next_subblock = grdb::pointer_subblock(entry);
-              if (next_level > last_level) {
-                complain("vertex " + std::to_string(v) +
-                         ": pointer to level beyond geometry");
-                next_level = -1;
-              } else if (next_subblock >= levels_[next_level].alloc) {
-                complain("vertex " + std::to_string(v) +
-                         ": pointer past allocated extent of level " +
-                         std::to_string(next_level));
-                next_level = -1;
-              } else if (!reachable[next_level].insert(next_subblock)
-                              .second) {
-                complain("sub-block " + std::to_string(next_subblock) +
-                         " at level " + std::to_string(next_level) +
-                         " reachable from two chains");
-                next_level = -1;
-              }
-              break;
+      for (std::size_t i = 0; i < slots.size(); ++i) {
+        const std::uint64_t entry = slots[i];
+        switch (grdb::classify(entry)) {
+          case EntryKind::kVertex:
+            if (saw_empty) {
+              complain("vertex " + std::to_string(v) +
+                       ": entry after empty slot at level " +
+                       std::to_string(level));
             }
+            ++report.entries;
+            if (!chain_counted) {
+              ++report.chains_checked;
+              chain_counted = true;
+            }
+            break;
+          case EntryKind::kEmpty:
+            saw_empty = true;
+            break;
+          case EntryKind::kPointer: {
+            if (i + 1 != slots.size()) {
+              complain("vertex " + std::to_string(v) +
+                       ": pointer not in last slot");
+            }
+            next_level = grdb::pointer_level(entry);
+            next_subblock = grdb::pointer_subblock(entry);
+            if (next_level > last_level) {
+              complain("vertex " + std::to_string(v) +
+                       ": pointer to level beyond geometry");
+              next_level = -1;
+            } else if (next_subblock >= levels_[next_level].alloc) {
+              complain("vertex " + std::to_string(v) +
+                       ": pointer past allocated extent of level " +
+                       std::to_string(next_level));
+              next_level = -1;
+            } else if (!reachable[next_level].insert(next_subblock).second) {
+              complain("sub-block " + std::to_string(next_subblock) +
+                       " at level " + std::to_string(next_level) +
+                       " reachable from two chains");
+              next_level = -1;
+            }
+            break;
           }
-        } catch (const Error& e) {
-          complain("vertex " + std::to_string(v) + ": " + e.what());
-          next_level = -1;
-          break;
         }
       }
       if (next_level < 0) break;
@@ -1193,7 +1193,7 @@ std::uint64_t GrDB::defragment() {
   const VertexId last_vertex = max_vertex_.load(std::memory_order_relaxed);
   for (VertexId v = 0; v <= last_vertex; ++v) {
     chain.clear();
-    find_tail(v, &chain);
+    find_tail(v, nullptr, &chain);
     if (chain.size() <= 1) continue;
 
     neighbors.clear();
@@ -1217,7 +1217,7 @@ std::uint64_t GrDB::defragment() {
     std::size_t pos = 0;
     for (std::size_t step = 0; step < target.size(); ++step) {
       const int level = target[step];
-      SubblockRef ref = pin_subblock(level, subblock, /*for_write=*/true);
+      SubblockRef ref = pin_subblock(level, subblock);
       const std::uint64_t d = ref.entries;
       std::memset(ref.handle.mutable_data().data() + ref.offset, 0xFF,
                   levels_[level].spec.subblock_bytes());

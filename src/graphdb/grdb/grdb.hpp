@@ -18,6 +18,7 @@
 #include <atomic>
 #include <memory>
 #include <mutex>
+#include <span>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -59,8 +60,9 @@ class GrDB final : public GraphDB {
   /// Pins the last committed epoch (DESIGN.md "Snapshot isolation").
   /// With `GraphDBConfig::snapshots` on, reads under a SnapshotScope
   /// holding the ref serve exactly that epoch — version pre-images
-  /// first, then the sealed mapping, then an atomic live copy — while
-  /// store_edges/flush advance the next epoch concurrently.
+  /// first, then the sealed mapping, then the cache frame read under the
+  /// version mutex — while store_edges/flush advance the next epoch
+  /// concurrently.
   [[nodiscard]] SnapshotRef begin_snapshot() override;
   [[nodiscard]] TxnState txn_state() const override;
 
@@ -140,17 +142,10 @@ class GrDB final : public GraphDB {
     std::vector<std::unique_ptr<File>> files;
   };
 
-  /// A pinned sub-block: the owning block handle plus entry accessors.
-  /// On the sealed mmap path `view` is set instead of `handle` — the
-  /// entries read directly from the mapping, no cache frame involved;
-  /// such refs are read-only (set() asserts).  Snapshot reads set `view`
-  /// over `keepalive`, a refcounted immutable image that outlives any
-  /// purge: a whole-block COW pre-image (read at `offset`), or a copy of
-  /// just this sub-block (`offset` 0).
+  /// A sub-block pinned for writing: the owning cache handle plus entry
+  /// accessors.  Reads never pin; they go through read_subblock.
   struct SubblockRef {
     BlockHandle handle;
-    std::span<const std::byte> view;  ///< zero-copy mapped block, or empty
-    std::shared_ptr<const std::vector<std::byte>> keepalive;
     std::uint64_t offset = 0;  ///< byte offset of the sub-block in block
     std::uint64_t entries = 0;
 
@@ -158,11 +153,39 @@ class GrDB final : public GraphDB {
     void set(std::uint64_t i, std::uint64_t value);
   };
 
-  /// Pins for reading by default; `for_write` routes through the COW
-  /// capture (pre-image shelved on the first mutation of the block per
-  /// epoch) before handing out the mutable cache frame.
-  SubblockRef pin_subblock(int level, std::uint64_t subblock,
-                           bool for_write = false);
+  /// One sub-block's entries, read where its bytes already are.
+  struct SubblockView {
+    std::span<const std::byte> bytes;  ///< exactly the sub-block
+
+    [[nodiscard]] std::uint64_t entries() const {
+      return bytes.size() / grdb::kEntryBytes;
+    }
+    [[nodiscard]] std::uint64_t get(std::uint64_t i) const;
+  };
+
+  /// Routes through the COW capture (pre-image shelved on the first
+  /// mutation of the block per epoch) before handing out the mutable
+  /// cache frame.
+  SubblockRef pin_subblock(int level, std::uint64_t subblock);
+
+  /// The one read primitive: calls `visit(SubblockView)` on the
+  /// sub-block's bytes in place — a shelved pre-image, the sealed
+  /// mapping, or the cache frame (BlockCache::read) — never on a copy.
+  /// `snap` is the caller's snapshot of this store, resolved once per
+  /// call (nullptr reads live state); each call under a snapshot counts
+  /// one `txn_snapshot_reads`.  `visit` may run under the version and
+  /// cache mutexes, so it must not call back into this store, and it may
+  /// run twice for one read (a mapped snapshot decode whose revalidation
+  /// fails is redone from the version path): each call must first undo
+  /// whatever a previous call produced.
+  template <typename Visit>
+  void read_subblock(int level, std::uint64_t subblock, const Snapshot* snap,
+                     Visit&& visit);
+  /// The snapshot of this store installed on the calling thread, or
+  /// nullptr (always nullptr with snapshots disabled).
+  [[nodiscard]] const Snapshot* active_snapshot() const {
+    return snapshots_enabled_ ? SnapshotScope::active_for(this) : nullptr;
+  }
   File& ensure_file(int level, std::uint64_t file_index);
   std::uint64_t allocate_subblock(int level);
   void release_subblock(int level, std::uint64_t subblock);
@@ -170,10 +193,12 @@ class GrDB final : public GraphDB {
   /// Appends neighbors to one vertex's chain.
   void append(VertexId v, std::span<const VertexId> neighbors);
 
-  /// Walks to the chain tail.  When `track` is non-null, every visited
-  /// (level, subblock) is recorded (level-0 first).
+  /// Walks to the chain tail (under `snap`, as read_subblock does).
+  /// When `track` is non-null, every visited (level, subblock) is
+  /// recorded (level-0 first).
   std::pair<int, std::uint64_t> find_tail(
-      VertexId v, std::vector<std::pair<int, std::uint64_t>>* track);
+      VertexId v, const Snapshot* snap,
+      std::vector<std::pair<int, std::uint64_t>>* track);
 
   void load_meta();
   void save_meta();
@@ -195,16 +220,18 @@ class GrDB final : public GraphDB {
   /// open epoch's pre-image, once per (block, epoch).  Runs before every
   /// mutable pin while snapshots are enabled.
   void capture_version(int level, std::uint64_t block, std::uint64_t key);
-  /// Snapshot read from the sealed mapping (caller checked it is
-  /// active): copy-then-revalidate of the `bytes`-long sub-block at
-  /// `addr`.  The block must have been initialized at map time (frozen
-  /// bitmap) and never COW-captured since the map (cow_since_map_) —
-  /// checked again after the copy, so a racing first mutation (whose
-  /// eviction/flush could rewrite the mapped file bytes mid-copy)
-  /// discards the copy and falls back.  Returns nullptr to decline.
-  std::shared_ptr<const std::vector<std::byte>> mapped_snapshot_copy(
-      int level, const grdb::SubblockAddress& addr, std::uint64_t key,
-      std::uint64_t bytes);
+  /// The sealed mapping's bytes of `block` for a snapshot read (caller
+  /// checked the mapping is active), or an empty span to decline.  The
+  /// block must have been initialized at map time (frozen bitmap) and
+  /// never COW-captured since the map.  The caller decodes straight from
+  /// the view and then must recheck captured_since_map(): a first
+  /// mutation racing the decode (whose eviction or flush could rewrite
+  /// the mapped file bytes) publishes its key there before it mutates,
+  /// so a clean recheck proves the decode saw quiescent bytes.
+  std::span<const std::byte> mapped_snapshot_block(int level,
+                                                   std::uint64_t block,
+                                                   std::uint64_t key);
+  [[nodiscard]] bool captured_since_map(std::uint64_t key) const;
   /// Commit boundary bookkeeping: advances the epoch and purges
   /// versions no live snapshot can read.
   void commit_epoch();
@@ -266,7 +293,7 @@ class GrDB final : public GraphDB {
   // readers check; map_mu_ serializes map/unmap/re-arm.  Without
   // snapshots, mutators run exclusively and unmap first, so no reader
   // holds a view across a transition.  With snapshots the mapping is
-  // never unmapped while readers run: pin_subblock serves mapped bytes
+  // never unmapped while readers run: read_subblock serves mapped bytes
   // only for blocks frozen at map time (mapped_init_/mapped_crc_ are
   // immutable copies) and never COW-captured since (cow_since_map_), so
   // file rewrites by eviction/flush can only touch blocks the mapped

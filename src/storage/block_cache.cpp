@@ -14,7 +14,7 @@ namespace mssg {
 namespace {
 // The attribution sink for cache accesses made by this thread.  Set by
 // CacheAttributionScope (the query scheduler installs one per query rank
-// thread); read on every get().
+// thread); read on every get() and read().
 thread_local CacheAttribution* tls_attribution = nullptr;
 
 void attribute(bool hit) {
@@ -216,6 +216,12 @@ void BlockCache::poll_async_locked() {
 
 BlockHandle BlockCache::get(std::uint16_t store, std::uint64_t block) {
   std::unique_lock<std::mutex> lock(mu_);
+  return BlockHandle(this, &pin_locked(lock, store, block));
+}
+
+detail::CacheEntry& BlockCache::pin_locked(std::unique_lock<std::mutex>& lock,
+                                           std::uint16_t store,
+                                           std::uint64_t block) {
   MSSG_CHECK(store < stores_.size());
   MSSG_CHECK(block < (std::uint64_t{1} << kStoreShift));
   const std::uint64_t key =
@@ -272,7 +278,7 @@ BlockHandle BlockCache::get(std::uint16_t store, std::uint64_t block) {
     }
     entry.hot = true;  // re-referenced: protected on next unpin
     ++entry.pins;
-    return BlockHandle(this, &entry);
+    return entry;
   }
 
   // Synchronous miss: the caller stalls on the store's reader.
@@ -290,7 +296,7 @@ BlockHandle BlockCache::get(std::uint16_t store, std::uint64_t block) {
   }
   entry->usable = usable_of(store);
   entry->pins = 1;
-  detail::CacheEntry* raw = entry.get();
+  detail::CacheEntry& pinned = *entry;
   map_.emplace(key, std::move(entry));
   if (miss_penalty_us_ != 0) {
     // Simulated seek: the pin above keeps the entry safe, so the stall
@@ -298,8 +304,9 @@ BlockHandle BlockCache::get(std::uint16_t store, std::uint64_t block) {
     // their misses instead of queueing behind this one.
     lock.unlock();
     std::this_thread::sleep_for(std::chrono::microseconds(miss_penalty_us_));
+    lock.lock();
   }
-  return BlockHandle(this, raw);
+  return pinned;
 }
 
 BlockHandle BlockCache::create(std::uint16_t store, std::uint64_t block) {
@@ -344,8 +351,12 @@ BlockHandle BlockCache::create(std::uint16_t store, std::uint64_t block) {
 
 void BlockCache::unpin(detail::CacheEntry* entry) {
   std::lock_guard<std::mutex> lock(mu_);
-  MSSG_CHECK(entry->pins > 0);
-  if (--entry->pins > 0) return;
+  unpin_locked(*entry);
+}
+
+void BlockCache::unpin_locked(detail::CacheEntry& entry) {
+  MSSG_CHECK(entry.pins > 0);
+  if (--entry.pins > 0) return;
 
   if (capacity_bytes_ == 0) {
     // Cache disabled: write through and drop immediately.  unpin runs
@@ -353,15 +364,15 @@ void BlockCache::unpin(detail::CacheEntry* entry) {
     // propagate here — it is parked and rethrown by the next
     // get()/flush()/drain_pending().
     try {
-      write_back(*entry);
+      write_back(entry);
     } catch (const std::exception& e) {
       if (deferred_error_.empty()) deferred_error_ = e.what();
     }
-    map_.erase(entry->key);
+    map_.erase(entry.key);
     return;
   }
 
-  make_resident(*entry);
+  make_resident(entry);
   try {
     evict_to_capacity();
   } catch (const std::exception& e) {
@@ -370,9 +381,7 @@ void BlockCache::unpin(detail::CacheEntry* entry) {
 }
 
 void BlockCache::make_resident(detail::CacheEntry& entry) {
-  auto& list = entry.hot ? protected_ : probation_;
-  list.push_front(entry.key);
-  entry.lru_pos = list.begin();
+  (entry.hot ? protected_ : probation_).push_front(entry);
   entry.in_protected = entry.hot;
   entry.resident = true;
   const std::size_t size = entry.data.size();
@@ -382,8 +391,7 @@ void BlockCache::make_resident(detail::CacheEntry& entry) {
 }
 
 void BlockCache::unlink(detail::CacheEntry& entry) {
-  auto& list = entry.in_protected ? protected_ : probation_;
-  list.erase(entry.lru_pos);
+  (entry.in_protected ? protected_ : probation_).erase(entry);
   entry.resident = false;
   const std::size_t size = entry.data.size();
   resident_bytes_ -= size;
@@ -394,16 +402,14 @@ void BlockCache::rebalance_protected() {
   // Keep the protected (re-referenced) working set within its share of
   // capacity; the overflow tail gets one more life in probation.
   while (protected_bytes_ > protected_capacity() && !protected_.empty()) {
-    const std::uint64_t key = protected_.back();
-    protected_.pop_back();
-    detail::CacheEntry& entry = *map_.at(key);
+    detail::CacheEntry& entry = *protected_.back();
+    protected_.erase(entry);
     const std::size_t size = entry.data.size();
     protected_bytes_ -= size;
     probation_bytes_ += size;
     entry.in_protected = false;
     entry.hot = false;  // must be re-referenced again to re-promote
-    probation_.push_front(key);
-    entry.lru_pos = probation_.begin();
+    probation_.push_front(entry);
   }
 }
 
@@ -427,12 +433,10 @@ void BlockCache::evict_to_capacity() {
     // protected list only shrinks when probation is empty.
     const bool from_probation = !probation_.empty();
     auto& list = from_probation ? probation_ : protected_;
-    const std::uint64_t victim_key = list.back();
-    list.pop_back();
-    auto it = map_.find(victim_key);
-    MSSG_CHECK(it != map_.end());
-    detail::CacheEntry& victim = *it->second;
+    detail::CacheEntry& victim = *list.back();
+    list.erase(victim);
     MSSG_CHECK(victim.pins == 0);
+    const std::uint64_t victim_key = victim.key;
     const auto store = static_cast<std::uint16_t>(victim_key >> kStoreShift);
     const std::uint64_t block =
         victim_key & ((std::uint64_t{1} << kStoreShift) - 1);
@@ -474,7 +478,7 @@ void BlockCache::evict_to_capacity() {
     resident_bytes_ -= size;
     (from_probation ? probation_bytes_ : protected_bytes_) -= size;
     if (stats_ != nullptr) ++stats_->cache_evictions;
-    map_.erase(it);
+    map_.erase(victim_key);
   }
   if (!write_behind.empty()) {
     // Durability barrier before the payloads leave for the workers: the
@@ -568,12 +572,11 @@ void BlockCache::drop_clean() {
   std::lock_guard<std::mutex> lock(mu_);
   flush_locked();
   for (auto* list : {&probation_, &protected_}) {
-    for (auto lru_it = list->begin(); lru_it != list->end();) {
-      auto map_it = map_.find(*lru_it);
-      MSSG_CHECK(map_it != map_.end());
-      resident_bytes_ -= map_it->second->data.size();
-      map_.erase(map_it);
-      lru_it = list->erase(lru_it);
+    while (!list->empty()) {
+      detail::CacheEntry& entry = *list->back();
+      list->erase(entry);
+      resident_bytes_ -= entry.data.size();
+      map_.erase(entry.key);
     }
   }
   probation_bytes_ = 0;

@@ -7,7 +7,10 @@
 // BlockHandle; pinned blocks are never evicted.  Dirty blocks are
 // written back on eviction and on flush().  A capacity of zero gives the
 // "cache disabled" configuration of Figure 5.2: every access misses and
-// every dirty unpin writes through.
+// every dirty unpin writes through.  Read-only callers that need a
+// block's bytes only for the length of one call use read() instead of
+// a handle: it visits the cached frame in place, pinning and releasing
+// it under a single acquisition of the cache mutex.
 //
 // Replacement is 2Q-style (a simplified ARC/SLRU): a block enters the
 // *probation* list on first touch and is promoted to the *protected*
@@ -16,7 +19,9 @@
 // once — churns through probation without displacing another query's
 // re-referenced working set.  The protected list is capped at 3/4 of
 // capacity; overflow demotes its LRU tail back to probation, where a
-// further cold spell evicts it.
+// further cold spell evicts it.  Both lists are intrusive (prev/next
+// links inside each entry), so pinning and releasing a resident block
+// allocates nothing.
 //
 // Thread-safe: the concurrent query engine runs several read-only
 // analyses against one node's cache at a time.  One internal mutex
@@ -28,8 +33,8 @@
 // freely; mutating handles must not be shared across threads.
 //
 // Per-query attribution: a query thread installs a CacheAttributionScope
-// naming its CacheAttribution; every get() on that thread then also
-// bumps the query-scoped hit/miss counters, giving the scheduler
+// naming its CacheAttribution; every get() or read() on that thread then
+// also bumps the query-scoped hit/miss counters, giving the scheduler
 // per-query hit ratios over the *shared* cache.
 //
 // enable_async_io() attaches a background IoEngine without weakening the
@@ -52,7 +57,6 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -60,6 +64,7 @@
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "common/error.hpp"
@@ -78,9 +83,11 @@ struct CacheEntry {
                            // the tail holds the store's checksum trailer
   bool dirty = false;
   int pins = 0;
-  std::list<std::uint64_t>::iterator lru_pos;  // valid iff resident
+  // 2Q list links, valid iff resident (front = most recently used).
+  CacheEntry* prev = nullptr;
+  CacheEntry* next = nullptr;
   bool resident = false;
-  bool in_protected = false;  // which 2Q list lru_pos points into
+  bool in_protected = false;  // which 2Q list the links belong to
   bool hot = false;   // re-referenced: joins the protected list when it
                       // next becomes resident
   bool orphaned = false;  // cache destroyed while still pinned; the
@@ -91,6 +98,31 @@ struct CacheEntry {
   [[nodiscard]] std::size_t usable_size() const {
     return usable == 0 ? data.size() : usable;
   }
+};
+
+/// One 2Q list, threaded through CacheEntry::prev/next.
+class LruList {
+ public:
+  [[nodiscard]] bool empty() const { return head_ == nullptr; }
+  [[nodiscard]] CacheEntry* back() const { return tail_; }
+
+  void push_front(CacheEntry& entry) {
+    entry.prev = nullptr;
+    entry.next = head_;
+    (head_ != nullptr ? head_->prev : tail_) = &entry;
+    head_ = &entry;
+  }
+
+  void erase(CacheEntry& entry) {
+    (entry.prev != nullptr ? entry.prev->next : head_) = entry.next;
+    (entry.next != nullptr ? entry.next->prev : tail_) = entry.prev;
+    entry.prev = nullptr;
+    entry.next = nullptr;
+  }
+
+ private:
+  CacheEntry* head_ = nullptr;
+  CacheEntry* tail_ = nullptr;
 };
 }  // namespace detail
 
@@ -251,6 +283,26 @@ class BlockCache {
   /// Fetches a block, loading it from the store on a miss.
   BlockHandle get(std::uint16_t store, std::uint64_t block);
 
+  /// Calls `fn(std::span<const std::byte>)` on the block's usable bytes
+  /// where they sit in the cache frame — no copy, no handle.  Exactly
+  /// get() followed by the handle's release (same hit/miss, 2Q,
+  /// attribution, prefetch-adoption and eviction transitions), but under
+  /// one acquisition of the cache mutex.  `fn` runs with that mutex held:
+  /// it must be short and must not call back into this cache.  (A
+  /// simulated miss penalty still sleeps with the mutex released.)
+  template <typename Fn>
+  void read(std::uint16_t store, std::uint64_t block, Fn&& fn) {
+    std::unique_lock<std::mutex> lock(mu_);
+    detail::CacheEntry& entry = pin_locked(lock, store, block);
+    struct Release {
+      BlockCache* cache;
+      detail::CacheEntry* entry;
+      ~Release() { cache->unpin_locked(*entry); }
+    } release{this, &entry};
+    std::forward<Fn>(fn)(
+        std::span<const std::byte>(entry.data).first(entry.usable_size()));
+  }
+
   /// Like get(), but for a block the caller is about to fully
   /// initialize: the entry is zero-filled and marked dirty WITHOUT
   /// consulting the store's reader.  Fresh-extent pages must come
@@ -313,7 +365,16 @@ class BlockCache {
 
   static constexpr int kStoreShift = 48;
 
+  /// get()'s body: looks the block up (adopting or waiting for an
+  /// in-flight prefetch, loading it on a miss) and pins it.  Returns
+  /// with `lock` held.
+  detail::CacheEntry& pin_locked(std::unique_lock<std::mutex>& lock,
+                                 std::uint16_t store, std::uint64_t block);
   void unpin(detail::CacheEntry* entry);
+  /// Drops one pin; the last one makes the entry resident again (or, with
+  /// caching disabled, writes it through and frees it) and evicts down
+  /// to capacity.  Store errors are parked, never thrown.
+  void unpin_locked(detail::CacheEntry& entry);
   void write_back(detail::CacheEntry& entry);
   void evict_to_capacity();
   /// Blocks until no async request is queued, running, or unadopted.
@@ -346,8 +407,8 @@ class BlockCache {
   std::unordered_map<std::uint64_t, std::unique_ptr<detail::CacheEntry>> map_;
   // 2Q lists, front = most recently used.  An unpinned resident entry
   // lives on exactly one of them (entry.in_protected says which).
-  std::list<std::uint64_t> probation_;
-  std::list<std::uint64_t> protected_;
+  detail::LruList probation_;
+  detail::LruList protected_;
   std::size_t resident_bytes_ = 0;
   std::size_t probation_bytes_ = 0;
   std::size_t protected_bytes_ = 0;

@@ -224,37 +224,34 @@ class VersionStore {
   /// captured after the snapshot pinned).
   [[nodiscard]] Ptr lookup(std::uint64_t key, Epoch snapshot_epoch) const {
     std::lock_guard lk(mu_);
-    auto it = map_.find(key);
-    if (it == map_.end()) return nullptr;
-    // Chains are short (one version per epoch still live) and sorted by
-    // capture epoch: scan for the first strictly newer than the pin.
-    for (const Version& v : it->second) {
-      if (v.capture_epoch > snapshot_epoch) return v.payload;
-    }
-    return nullptr;
+    return serving_locked(key, snapshot_epoch);
   }
 
-  /// Snapshot read with the race against a first mutation closed.  If a
-  /// version serves `snapshot_epoch`, returns it; otherwise materializes
-  /// `live()` (a copy of the current bytes) UNDER the store's mutex and
-  /// returns that.  Why the lock matters: a writer's first mutation of a
-  /// key in an epoch inserts its pre-image here (capture) BEFORE
-  /// touching the live bytes, and that insert needs this same mutex — so
-  /// while `live()` runs, no first mutation of the epoch can begin, and
-  /// any earlier epoch's writes are already ordered before the reader's
-  /// pin (commit advances under the EpochManager mutex the pin also
-  /// takes).  `live()` must not touch this VersionStore.
-  template <typename LiveFn>
-  [[nodiscard]] Ptr read(std::uint64_t key, Epoch snapshot_epoch,
-                         LiveFn&& live) const {
-    std::lock_guard lk(mu_);
-    auto it = map_.find(key);
-    if (it != map_.end()) {
-      for (const Version& v : it->second) {
-        if (v.capture_epoch > snapshot_epoch) return v.payload;
+  /// Snapshot read with the race against a first mutation closed, and
+  /// without copying the payload.  If a version serves `snapshot_epoch`,
+  /// calls `shelved(const Payload&)` on it AFTER releasing the store's
+  /// mutex (the shared_ptr keeps it alive and immutable); otherwise calls
+  /// `live()`, which reads the current bytes in place, UNDER the mutex.
+  /// Why the lock matters: a writer's first mutation of a key in an
+  /// epoch inserts its pre-image here (capture) BEFORE touching the live
+  /// bytes, and that insert needs this same mutex — so while `live()`
+  /// runs, no first mutation of the epoch can begin, and any earlier
+  /// epoch's writes are already ordered before the reader's pin (commit
+  /// advances under the EpochManager mutex the pin also takes).  `live()`
+  /// must not touch this VersionStore.
+  template <typename ShelvedFn, typename LiveFn>
+  void visit(std::uint64_t key, Epoch snapshot_epoch, ShelvedFn&& shelved,
+             LiveFn&& live) const {
+    Ptr version;
+    {
+      std::lock_guard lk(mu_);
+      version = serving_locked(key, snapshot_epoch);
+      if (version == nullptr) {
+        std::forward<LiveFn>(live)();
+        return;
       }
     }
-    return std::make_shared<const Payload>(live());
+    std::forward<ShelvedFn>(shelved)(*version);
   }
 
   /// Drops every version no live snapshot can need: capture epoch
@@ -294,6 +291,19 @@ class VersionStore {
     Epoch capture_epoch;  ///< open epoch at capture; holds state of E-1
     Ptr payload;
   };
+
+  /// lookup()'s answer; the caller holds mu_.
+  [[nodiscard]] Ptr serving_locked(std::uint64_t key,
+                                   Epoch snapshot_epoch) const {
+    auto it = map_.find(key);
+    if (it == map_.end()) return nullptr;
+    // Chains are short (one version per epoch still live) and sorted by
+    // capture epoch: scan for the first strictly newer than the pin.
+    for (const Version& v : it->second) {
+      if (v.capture_epoch > snapshot_epoch) return v.payload;
+    }
+    return nullptr;
+  }
 
   mutable std::mutex mu_;
   std::unordered_map<std::uint64_t, std::vector<Version>> map_;

@@ -19,6 +19,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -122,12 +123,18 @@ TEST(EpochMechanics, VersionStoreServesSmallestNewerCapture) {
   // Identity: the same shelved payload is shared, not copied per read.
   EXPECT_EQ(versions.lookup(7, 0).get(), versions.lookup(7, 0).get());
 
-  // read() falls back to a live copy under the lock when no version
-  // serves the pin.
-  const auto live = versions.read(7, 3, [] {
-    return std::vector<VertexId>{1, 2, 3};
-  });
-  EXPECT_EQ(*live, (std::vector<VertexId>{1, 2, 3}));
+  // visit() falls back to the live visitor when no version serves the
+  // pin, and otherwise hands over the shelved payload itself.
+  std::vector<VertexId> seen;
+  bool live = false;
+  const auto shelved = [&seen](const std::vector<VertexId>& v) { seen = v; };
+  versions.visit(7, 3, shelved, [&live] { live = true; });
+  EXPECT_TRUE(live);
+  EXPECT_TRUE(seen.empty());
+  live = false;
+  versions.visit(7, 0, shelved, [&live] { live = true; });
+  EXPECT_FALSE(live);
+  EXPECT_EQ(seen, (std::vector<VertexId>{1}));
 
   // Purge: min_live 1 drops only the epoch-1 capture (it serves pins
   // < 1); the epoch-3 capture still serves pins at 1 and 2.
@@ -138,6 +145,44 @@ TEST(EpochMechanics, VersionStoreServesSmallestNewerCapture) {
   ASSERT_NE(versions.lookup(7, 2), nullptr);
   versions.purge(3);
   EXPECT_EQ(versions.versions(), 0u);
+}
+
+// visit()'s live branch runs under the store mutex: a first capture of
+// the same key (which must shelve its pre-image before the writer may
+// mutate) cannot complete while a reader is still on the live bytes.
+TEST(EpochMechanics, VersionStoreVisitExcludesFirstCapture) {
+  VersionStore<std::vector<VertexId>> versions;
+  std::vector<VertexId> live_bytes{1};
+  std::atomic<bool> capturing{false};
+  std::atomic<bool> captured{false};
+  bool captured_during_visit = true;
+  std::thread writer;
+  versions.visit(
+      7, 0,
+      [](const std::vector<VertexId>&) { ADD_FAILURE() << "nothing shelved"; },
+      [&] {
+        writer = std::thread([&] {
+          capturing.store(true);
+          versions.capture(7, 1, [&live_bytes] { return live_bytes; });
+          captured.store(true);
+        });
+        while (!capturing.load()) std::this_thread::yield();
+        std::this_thread::sleep_for(std::chrono::milliseconds(50));
+        captured_during_visit = captured.load();
+      });
+  writer.join();
+  EXPECT_FALSE(captured_during_visit);
+  ASSERT_TRUE(captured.load());
+  live_bytes.push_back(2);  // the writer's mutation, after its capture
+
+  // The old epoch now reads the shelved pre-image, not the live bytes.
+  std::vector<VertexId> seen;
+  bool live = false;
+  versions.visit(
+      7, 0, [&seen](const std::vector<VertexId>& v) { seen = v; },
+      [&live] { live = true; });
+  EXPECT_FALSE(live);
+  EXPECT_EQ(seen, (std::vector<VertexId>{1}));
 }
 
 TEST(EpochMechanics, VertexSnapshotsRetireOnLastRelease) {
@@ -344,6 +389,74 @@ TEST(SnapshotCowGrdb, DeepSubblockReadsKeepTheirOffsets) {
     EXPECT_EQ(read(kA, next), a_adj);
     EXPECT_EQ(read(kB, next), b_new);
     EXPECT_EQ(read(kB, nullptr), b_new);
+  }
+}
+
+// One snapshot read per sub-block, whichever path serves it: a chain of
+// k sub-blocks read under a pin raises txn_snapshot_reads by exactly k
+// through the cache (mapping inactive), through the sealed mapping, and
+// with a shelved version present — so graphdb.snapshot_reads_per_scan
+// keeps counting sub-blocks, not retries or lock round trips.
+TEST(SnapshotCowGrdb, SnapshotReadCountsOnePerSubblock) {
+  for (const bool mmap : {false, true}) {
+    SCOPED_TRACE(mmap ? "mapping active" : "mapping inactive");
+    TempDir dir;
+    GraphDBConfig config;
+    config.dir = dir.path();
+    config.snapshots = true;
+    config.mmap_sealed = mmap;
+    std::filesystem::create_directories(config.dir);
+    GrDBOptions options;
+    options.geometry.levels = {
+        grdb::LevelSpec{2, 4096},  grdb::LevelSpec{4, 4096},
+        grdb::LevelSpec{8, 4096},  grdb::LevelSpec{16, 4096},
+        grdb::LevelSpec{32, 4096}, grdb::LevelSpec{64, 4096}};
+    GrDB db(config, std::make_unique<InMemoryMetadata>(), options);
+
+    constexpr VertexId kV = 5;
+    std::vector<VertexId> adj_at_pin;
+    std::vector<Edge> edges;
+    for (VertexId i = 0; i < 20; ++i) {
+      adj_at_pin.push_back(100 + i);
+      edges.push_back(Edge{kV, 100 + i});
+    }
+    db.store_edges(edges);
+    db.flush();
+    EXPECT_EQ(db.io_stats().mmap_maps > 0, mmap);
+    const std::uint64_t k = db.chain_of(kV).size();
+    ASSERT_EQ(k, 4u);  // levels 0-3
+
+    SnapshotRef pin = db.begin_snapshot();
+    const auto snapshot_reads = [&db, &pin](std::vector<VertexId>& adj) {
+      SnapshotScope scope(pin);
+      const std::uint64_t before = db.io_stats().txn_snapshot_reads;
+      db.get_adjacency(kV, adj);
+      return db.io_stats().txn_snapshot_reads - before;
+    };
+    const auto cache_accesses = [&db] {
+      const IoStats stats = db.io_stats();
+      return stats.cache_hits + stats.cache_misses;
+    };
+
+    std::vector<VertexId> adj;
+    const std::uint64_t accesses_before = cache_accesses();
+    EXPECT_EQ(snapshot_reads(adj), k);
+    EXPECT_EQ(sorted(adj), adj_at_pin);
+    if (mmap) {
+      // Served by the mapping: the cache was never consulted.
+      EXPECT_EQ(cache_accesses(), accesses_before);
+    } else {
+      EXPECT_EQ(cache_accesses(), accesses_before + k);
+    }
+
+    // Appending to the tail shelves its block's pre-image; the pin still
+    // reads the same k sub-blocks, the tail now off the shelf.
+    db.store_edges(std::vector<Edge>{{kV, 300}});
+    ASSERT_GT(db.txn_state().versions, 0u);
+    ASSERT_EQ(db.chain_of(kV).size(), k);
+    adj.clear();
+    EXPECT_EQ(snapshot_reads(adj), k);
+    EXPECT_EQ(sorted(adj), adj_at_pin);
   }
 }
 

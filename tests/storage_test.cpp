@@ -3,6 +3,7 @@
 #include <cstring>
 #include <map>
 
+#include "common/rng.hpp"
 #include "common/temp_dir.hpp"
 #include "storage/block_cache.hpp"
 #include "storage/file.hpp"
@@ -369,6 +370,82 @@ TEST(BlockCache2Q, DemotedBlockEvictsBeforeFreshProtected) {
   EXPECT_EQ(store.reads_, 0) << "a protected block was evicted";
   { auto h = cache.get(id, 1); }
   EXPECT_EQ(store.reads_, 1) << "the demoted tail should have been the victim";
+}
+
+// read() is get() plus release under one lock: replaying one seeded trace
+// of hits, misses and dirty writes under capacity pressure through each
+// must leave the same counters, the same per-query attribution, the same
+// bytes seen, and the same store calls in the same order.  Writes go
+// through get() on both sides; only the reads differ.
+TEST(BlockCache2Q, ReadVisitMatchesGetRelease) {
+  struct Run {
+    IoStats stats;
+    CacheAttribution attribution;
+    std::vector<std::pair<char, std::uint64_t>> calls;  // ('R'|'W', block)
+    std::uint64_t bytes_seen = 0;  // sum over every byte of every read
+  };
+  constexpr std::size_t kBlock = 64;
+  const auto replay = [](bool use_read, Run& run) {
+    TempDir dir;
+    File file = File::open(dir.path() / "store.bin", &run.stats);
+    BlockCache cache(8 * kBlock, &run.stats);  // protected cap: 6 blocks
+    const auto id = cache.register_store(
+        kBlock,
+        [&](std::uint64_t block, std::span<std::byte> out) {
+          run.calls.emplace_back('R', block);
+          file.read_at(block * kBlock, out);
+        },
+        [&](std::uint64_t block, std::span<const std::byte> in) {
+          run.calls.emplace_back('W', block);
+          file.write_at(block * kBlock, in);
+        });
+    const auto sum = [&run](std::span<const std::byte> data) {
+      for (const std::byte b : data) run.bytes_seen += std::to_integer<int>(b);
+    };
+    CacheAttributionScope scope(&run.attribution);
+    Rng rng(20261019);
+    for (int op = 0; op < 4000; ++op) {
+      // A hot set re-referenced often (protected hits, demotions) over a
+      // cold range 3x the capacity (probation churn, evictions).
+      const std::uint64_t block =
+          rng.below(10) < 7 ? rng.below(6) : 6 + rng.below(24);
+      if (rng.below(5) == 0) {
+        BlockHandle h = cache.get(id, block);
+        h.mutable_data()[op % kBlock] = static_cast<std::byte>(op);
+      } else if (use_read) {
+        cache.read(id, block, sum);
+      } else {
+        BlockHandle h = cache.get(id, block);
+        sum(h.data());
+      }
+    }
+    cache.flush();
+  };
+
+  Run via_read;
+  Run via_get;
+  replay(true, via_read);
+  replay(false, via_get);
+  ASSERT_GT(via_get.stats.cache_evictions, 0u);  // capacity pressure
+  ASSERT_GT(via_get.stats.cache_protected_hits, 0u);
+  ASSERT_GT(via_get.stats.bytes_written, 0u);
+  EXPECT_EQ(via_read.stats.cache_hits, via_get.stats.cache_hits);
+  EXPECT_EQ(via_read.stats.cache_probation_hits,
+            via_get.stats.cache_probation_hits);
+  EXPECT_EQ(via_read.stats.cache_protected_hits,
+            via_get.stats.cache_protected_hits);
+  EXPECT_EQ(via_read.stats.cache_misses, via_get.stats.cache_misses);
+  EXPECT_EQ(via_read.stats.cache_evictions, via_get.stats.cache_evictions);
+  EXPECT_EQ(via_read.stats.read_stalls, via_get.stats.read_stalls);
+  EXPECT_EQ(via_read.stats.reads, via_get.stats.reads);
+  EXPECT_EQ(via_read.stats.writes, via_get.stats.writes);
+  EXPECT_EQ(via_read.stats.bytes_read, via_get.stats.bytes_read);
+  EXPECT_EQ(via_read.stats.bytes_written, via_get.stats.bytes_written);
+  EXPECT_EQ(via_read.attribution.hits.load(), via_get.attribution.hits.load());
+  EXPECT_EQ(via_read.attribution.misses.load(),
+            via_get.attribution.misses.load());
+  EXPECT_EQ(via_read.bytes_seen, via_get.bytes_seen);
+  EXPECT_EQ(via_read.calls, via_get.calls);
 }
 
 // ---- Pager -----------------------------------------------------------------
