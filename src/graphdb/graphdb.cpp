@@ -20,6 +20,16 @@ bool GraphDB::metadata_matches(Metadata lhs, Metadata rhs, MetadataOp op) {
   throw UsageError("unknown MetadataOp");
 }
 
+void GraphDB::visit_adjacency(std::span<const VertexId> vertices,
+                              const AdjacencyVisitor& fn) {
+  std::vector<VertexId> neighbors;
+  for (const VertexId v : vertices) {
+    neighbors.clear();
+    get_adjacency(v, neighbors);
+    if (!fn(v, neighbors)) return;
+  }
+}
+
 void GraphDB::get_adjacency_using_metadata(VertexId v,
                                            std::vector<VertexId>& out,
                                            Metadata metadata, MetadataOp op) {

@@ -32,6 +32,11 @@ enum class MetadataOp : int {
   kLess = 2,       ///< neighbor's metadata <  input
 };
 
+/// visit_adjacency's callback: a vertex and its out-neighbours (the span
+/// is valid only for the call).  Returning false stops the visit.
+using AdjacencyVisitor =
+    std::function<bool(VertexId, std::span<const VertexId>)>;
+
 class GraphDB {
  public:
   virtual ~GraphDB() = default;
@@ -44,6 +49,19 @@ class GraphDB {
   /// (Algorithm 1 relies on "the empty set when an adjacency list of a
   /// vertex that is not assigned to that processor is requested").
   virtual void get_adjacency(VertexId v, std::vector<VertexId>& out) = 0;
+
+  /// Streams the adjacency lists of a whole frontier — the one read
+  /// primitive every multi-vertex analysis uses (§4.1.5: requests are
+  /// posted "for all of the 'fringe' vertices at once").  Calls
+  /// `fn(v, neighbors)` once per entry of `vertices`, in that order, with
+  /// exactly the list get_adjacency(v) appends (empty for unknown ids),
+  /// until `fn` returns false.  Any order is served; ascending ids let
+  /// out-of-core backends read their storage in order.  `fn` runs with
+  /// no backend lock held, so it may call back into this store.  The
+  /// default loops over get_adjacency; StreamDB answers the frontier in
+  /// one log scan and grDB reads each block once per window.
+  virtual void visit_adjacency(std::span<const VertexId> vertices,
+                               const AdjacencyVisitor& fn);
 
   /// Fused neighbors+metadata filter (Listing 3.1's performance call).
   /// Appends each neighbor u of v for which `op` holds between

@@ -43,6 +43,23 @@ std::uint64_t GrDB::SubblockView::get(std::uint64_t i) const {
   return entry_at(bytes.data(), i);
 }
 
+std::uint64_t GrDB::SubblockView::append_vertices(
+    std::vector<VertexId>& out) const {
+  for (std::uint64_t i = 0; i < entries(); ++i) {
+    const std::uint64_t entry = get(i);
+    switch (grdb::classify(entry)) {
+      case EntryKind::kVertex:
+        out.push_back(grdb::entry_vertex(entry));
+        break;
+      case EntryKind::kEmpty:
+        return grdb::kEmptySlot;  // slots fill left-to-right; first empty ends it
+      case EntryKind::kPointer:
+        return entry;  // always the last slot
+    }
+  }
+  return grdb::kEmptySlot;
+}
+
 // ---- Construction / persistence -------------------------------------------
 
 GrDB::GrDB(const GraphDBConfig& config,
@@ -476,26 +493,19 @@ GrDB::SubblockRef GrDB::pin_subblock(int level, std::uint64_t subblock) {
 }
 
 template <typename Visit>
-void GrDB::read_subblock(int level, std::uint64_t subblock,
-                         const Snapshot* snap, Visit&& visit) {
-  const auto addr = grdb::locate(options_.geometry, level, subblock);
-  const std::uint64_t bytes = levels_[level].spec.subblock_bytes();
-  // Every path views a whole block and reads the sub-block at its offset.
-  const auto visit_block = [&](std::span<const std::byte> block) {
-    visit(SubblockView{block.subspan(addr.block_offset, bytes)});
-  };
+void GrDB::read_block(int level, std::uint64_t block, const Snapshot* snap,
+                      std::uint64_t reads, Visit&& visit) {
   const auto cached = [&] {
-    cache_.read(levels_[level].store_id, addr.block, visit_block);
+    cache_.read(levels_[level].store_id, block, visit);
   };
   if (snap != nullptr) {
     // Snapshot read.  Versions first: a block mutated after the pin MUST
     // serve its shelved pre-image (the whole block, as one capture covers
     // all its sub-blocks), whatever the live or mapped bytes say.
-    ++stats_.txn_snapshot_reads;
-    const std::uint64_t key =
-        (static_cast<std::uint64_t>(level) << 48) | addr.block;
+    stats_.txn_snapshot_reads += reads;
+    const std::uint64_t key = (static_cast<std::uint64_t>(level) << 48) | block;
     const auto shelved = [&](const std::vector<std::byte>& version) {
-      visit_block(version);
+      visit(std::span<const std::byte>(version));
     };
     if (mmap_enabled_ && mapped_active_.load(std::memory_order_acquire)) {
       if (auto version = versions_.lookup(key, snap->epoch())) {
@@ -506,9 +516,9 @@ void GrDB::read_subblock(int level, std::uint64_t subblock,
       // entirely (where concurrent readers win): decode in place, then
       // revalidate.  A capture that raced the decode discards it, and the
       // version path below visits again.
-      const auto view = mapped_snapshot_block(level, addr.block, key);
+      const auto view = mapped_snapshot_block(level, block, key);
       if (!view.empty()) {
-        visit_block(view);
+        visit(view);
         if (!captured_since_map(key)) return;
       }
     }
@@ -530,11 +540,11 @@ void GrDB::read_subblock(int level, std::uint64_t subblock,
   if (mmap_enabled_ && SequentialScanScope::active() &&
       !FaultInjector::instance().enabled() && mapped_or_map()) {
     const DynamicBitset& init = mapped_init_[level];
-    if (addr.block < init.size() && init.test(addr.block)) {
-      const auto view = mapped_[level]->block(addr.block);
+    if (block < init.size() && init.test(block)) {
+      const auto view = mapped_[level]->block(block);
       if (!view.empty()) {
-        ++stats_.mmap_zero_copy_reads;
-        visit_block(view);
+        stats_.mmap_zero_copy_reads += reads;
+        visit(view);
         return;
       }
     }
@@ -542,6 +552,16 @@ void GrDB::read_subblock(int level, std::uint64_t subblock,
     // touching disk) or unbacked: fall through to the cache.
   }
   cached();
+}
+
+template <typename Visit>
+void GrDB::read_subblock(int level, std::uint64_t subblock,
+                         const Snapshot* snap, Visit&& visit) {
+  const auto addr = grdb::locate(options_.geometry, level, subblock);
+  const std::uint64_t bytes = levels_[level].spec.subblock_bytes();
+  read_block(level, addr.block, snap, 1, [&](std::span<const std::byte> block) {
+    visit(SubblockView{block.subspan(addr.block_offset, bytes)});
+  });
 }
 
 void GrDB::capture_version(int level, std::uint64_t block,
@@ -834,18 +854,21 @@ void GrDB::drop_os_page_cache() const {
 
 // ---- Reads -----------------------------------------------------------------
 
-void GrDB::get_adjacency(VertexId v, std::vector<VertexId>& out) {
-  const Snapshot* snap = active_snapshot();
+VertexId GrDB::chain_extent(const Snapshot* snap) const {
   if (snap != nullptr) {
     // The pinned extent over-approximates the committed one; vertices it
     // admits that were only stored after the pin resolve to their all-0xFF
     // pre-image versions, i.e. the empty set.
-    if (!snap->nonempty() || v >= snap->extent()) return;
-  } else if (!any_data_.load(std::memory_order_relaxed)) {
-    // Nothing was ever stored on this node; level-0 space beyond the
-    // extent is untouched (reads as empty anyway).
-    return;
+    return snap->nonempty() ? snap->extent() : 0;
   }
+  return any_data_.load(std::memory_order_relaxed)
+             ? max_vertex_.load(std::memory_order_relaxed) + 1
+             : 0;
+}
+
+void GrDB::get_adjacency(VertexId v, std::vector<VertexId>& out) {
+  const Snapshot* snap = active_snapshot();
+  if (v >= chain_extent(snap)) return;
   int level = 0;
   std::uint64_t subblock = v;
   while (true) {
@@ -853,20 +876,7 @@ void GrDB::get_adjacency(VertexId v, std::vector<VertexId>& out) {
     std::uint64_t next = grdb::kEmptySlot;
     read_subblock(level, subblock, snap, [&](SubblockView sb) {
       out.resize(mark);  // a redone visit replaces the discarded decode
-      next = grdb::kEmptySlot;
-      for (std::uint64_t i = 0; i < sb.entries(); ++i) {
-        const std::uint64_t entry = sb.get(i);
-        switch (grdb::classify(entry)) {
-          case EntryKind::kVertex:
-            out.push_back(grdb::entry_vertex(entry));
-            break;
-          case EntryKind::kEmpty:
-            return;  // slots are filled left-to-right; first empty ends it
-          case EntryKind::kPointer:
-            next = entry;  // always the last slot
-            return;
-        }
-      }
+      next = sb.append_vertices(out);
     });
     if (next == grdb::kEmptySlot) return;
     level = grdb::pointer_level(next);
@@ -874,25 +884,102 @@ void GrDB::get_adjacency(VertexId v, std::vector<VertexId>& out) {
   }
 }
 
+void GrDB::visit_adjacency(std::span<const VertexId> vertices,
+                           const AdjacencyVisitor& fn) {
+  const Snapshot* snap = active_snapshot();
+  const VertexId end = chain_extent(snap);
+  std::vector<std::vector<VertexId>> lists(
+      std::min(kVisitWindow, vertices.size()));
+  std::vector<ChainStep> steps;
+  for (std::size_t base = 0; base < vertices.size(); base += kVisitWindow) {
+    const auto window = vertices.subspan(
+        base, std::min(kVisitWindow, vertices.size() - base));
+    steps.clear();
+    for (std::uint32_t slot = 0; slot < window.size(); ++slot) {
+      lists[slot].clear();
+      if (window[slot] < end) steps.push_back({window[slot], slot});
+    }
+    read_chains(steps, snap, lists);
+    // No lock is held here: `fn` may call back into this store.
+    for (std::uint32_t slot = 0; slot < window.size(); ++slot) {
+      if (!fn(window[slot], lists[slot])) return;
+    }
+  }
+}
+
+void GrDB::read_chains(std::vector<ChainStep>& steps, const Snapshot* snap,
+                       std::vector<std::vector<VertexId>>& lists) {
+  const auto by_subblock = [](const ChainStep& a, const ChainStep& b) {
+    return a.at < b.at;
+  };
+  std::vector<ChainStep> next;
+  while (!steps.empty()) {
+    // A sorted frontier's level-0 round arrives sorted.
+    if (!std::is_sorted(steps.begin(), steps.end(), by_subblock)) {
+      std::sort(steps.begin(), steps.end(), by_subblock);
+    }
+    for (std::size_t first = 0; first < steps.size();) {
+      const int level = steps[first].level();
+      const grdb::LevelSpec& spec = levels_[level].spec;
+      const std::uint64_t k = spec.subblocks_per_block();
+      const std::uint64_t bytes = spec.subblock_bytes();
+      const std::uint64_t block = steps[first].subblock() / k;
+      std::size_t last = first + 1;
+      while (last < steps.size() && steps[last].level() == level &&
+             steps[last].subblock() / k == block) {
+        ++last;
+      }
+      const auto group = std::span(steps).subspan(first, last - first);
+      for (ChainStep& step : group) step.mark = lists[step.slot].size();
+      read_block(level, block, snap, group.size(),
+                 [&](std::span<const std::byte> data) {
+                   for (ChainStep& step : group) {
+                     std::vector<VertexId>& out = lists[step.slot];
+                     out.resize(step.mark);  // a redone visit starts over
+                     const SubblockView sb{
+                         data.subspan((step.subblock() % k) * bytes, bytes)};
+                     step.next = sb.append_vertices(out);
+                   }
+                 });
+      first = last;
+    }
+    next.clear();
+    for (const ChainStep& step : steps) {
+      if (step.next != grdb::kEmptySlot) next.push_back({step.next, step.slot});
+    }
+    steps.swap(next);
+  }
+}
+
 void GrDB::for_each_vertex(const std::function<bool(VertexId)>& visit) {
   const Snapshot* snap = active_snapshot();
-  VertexId end = 0;
-  if (snap != nullptr) {
-    // Over-included vertices (stored after the pin) read their empty
-    // pre-image and are skipped — the sweep sees exactly the epoch.
-    if (snap->nonempty()) end = snap->extent();
-  } else if (any_data_.load(std::memory_order_relaxed)) {
-    end = max_vertex_.load(std::memory_order_relaxed) + 1;
-  }
+  // Over-included vertices of a pinned extent (stored after the pin) read
+  // their empty pre-image and are skipped — the sweep sees exactly the
+  // epoch.
+  const VertexId end = chain_extent(snap);
   // The level-0 sweep is the canonical sequential scan — mapped-path
   // eligible regardless of what the caller installed.
   SequentialScanScope scan_scope;
-  for (VertexId v = 0; v < end; ++v) {
-    bool stored = false;
-    read_subblock(0, v, snap, [&stored](SubblockView sb) {
-      stored = grdb::classify(sb.get(0)) != EntryKind::kEmpty;
-    });
-    if (stored && !visit(v)) return;
+  const std::uint64_t k = levels_[0].spec.subblocks_per_block();
+  const std::uint64_t bytes = levels_[0].spec.subblock_bytes();
+  std::vector<VertexId> stored;
+  for (VertexId first = 0; first < end; first += k) {
+    const VertexId last = std::min<VertexId>(first + k, end);
+    read_block(0, first / k, snap, last - first,
+               [&](std::span<const std::byte> data) {
+                 stored.clear();
+                 for (VertexId v = first; v < last; ++v) {
+                   const SubblockView sb{data.subspan((v - first) * bytes,
+                                                      bytes)};
+                   if (grdb::classify(sb.get(0)) != EntryKind::kEmpty) {
+                     stored.push_back(v);
+                   }
+                 }
+               });
+    // Visited outside the block's locks: visitors may re-enter the store.
+    for (const VertexId v : stored) {
+      if (!visit(v)) return;
+    }
   }
 }
 

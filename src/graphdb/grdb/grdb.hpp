@@ -46,8 +46,25 @@ class GrDB final : public GraphDB {
        GrDBOptions options = {});
   ~GrDB() override;
 
+  /// Frontier vertices visit_adjacency resolves together.  A 4 KiB
+  /// level-0 block holds 256 first sub-blocks, so a sorted window of 256
+  /// ids covers one such block per node of the hash partition, and its
+  /// chains fit a small cache.  A constant, not an option: which blocks
+  /// a window pins depends only on the input.
+  static constexpr std::size_t kVisitWindow = 256;
+
   void store_edges(std::span<const Edge> edges) override;
   void get_adjacency(VertexId v, std::vector<VertexId>& out) override;
+  /// Block-grouped reader.  Each window of kVisitWindow vertices walks
+  /// its chains one hop per round (level-0 sub-blocks, then the pointers
+  /// they yield).  A round's sub-blocks are sorted by (level, block), and
+  /// each distinct block is resolved once — shelved version, sealed
+  /// mapping or cache frame — with every pending sub-block in it decoded
+  /// under that one pin.  Misses are read on the calling thread: handing
+  /// them to the IoEngine cost more CPU (thread hand-offs, checksums over
+  /// buffers another core wrote) than the merged reads saved.
+  void visit_adjacency(std::span<const VertexId> vertices,
+                       const AdjacencyVisitor& fn) override;
   /// Group-commit aware: with journal_sync_interval > 1 only every n-th
   /// flush commits durably; the rest defer into the group (the
   /// destructor forces the boundary).
@@ -66,8 +83,8 @@ class GrDB final : public GraphDB {
   [[nodiscard]] SnapshotRef begin_snapshot() override;
   [[nodiscard]] TxnState txn_state() const override;
 
-  /// Sequential sweep of the level-0 extent; visits vertices whose first
-  /// entry is non-empty.
+  /// Sequential sweep of the level-0 extent, one pin per level-0 block;
+  /// visits vertices whose first entry is non-empty.
   void for_each_vertex(const std::function<bool(VertexId)>& visit) override;
 
   /// Warms the cache with the level-0 blocks of the given vertices,
@@ -161,6 +178,26 @@ class GrDB final : public GraphDB {
       return bytes.size() / grdb::kEntryBytes;
     }
     [[nodiscard]] std::uint64_t get(std::uint64_t i) const;
+    /// Appends the vertex entries to `out` and returns the chain pointer
+    /// in the last slot, or kEmptySlot where the chain ends.
+    std::uint64_t append_vertices(std::vector<VertexId>& out) const;
+  };
+
+  /// One pending hop of a visit_adjacency chain walk: the next sub-block
+  /// of window slot `slot`'s chain.
+  struct ChainStep {
+    /// The sub-block as a tagged entry: level in the tag, sub-block in
+    /// the value (a level-0 id is its own entry).  Ordering by it orders
+    /// by (level, sub-block), hence by (level, block).
+    std::uint64_t at = 0;
+    std::uint32_t slot = 0;
+    std::size_t mark = 0;  ///< the slot's list length before this hop
+    std::uint64_t next = grdb::kEmptySlot;  ///< pointer the hop yielded
+
+    [[nodiscard]] int level() const { return grdb::pointer_level(at); }
+    [[nodiscard]] std::uint64_t subblock() const {
+      return grdb::pointer_subblock(at);
+    }
   };
 
   /// Routes through the COW capture (pre-image shelved on the first
@@ -168,24 +205,38 @@ class GrDB final : public GraphDB {
   /// cache frame.
   SubblockRef pin_subblock(int level, std::uint64_t subblock);
 
-  /// The one read primitive: calls `visit(SubblockView)` on the
-  /// sub-block's bytes in place — a shelved pre-image, the sealed
-  /// mapping, or the cache frame (BlockCache::read) — never on a copy.
-  /// `snap` is the caller's snapshot of this store, resolved once per
-  /// call (nullptr reads live state); each call under a snapshot counts
-  /// one `txn_snapshot_reads`.  `visit` may run under the version and
-  /// cache mutexes, so it must not call back into this store, and it may
-  /// run twice for one read (a mapped snapshot decode whose revalidation
-  /// fails is redone from the version path): each call must first undo
-  /// whatever a previous call produced.
+  /// The one read primitive: calls `visit(std::span<const std::byte>)`
+  /// on the whole block's bytes in place — a shelved pre-image, the
+  /// sealed mapping, or the cache frame (BlockCache::read) — never on a
+  /// copy.  `snap` is the caller's snapshot of this store (nullptr reads
+  /// live state).  `reads` is how many sub-blocks the caller decodes
+  /// from the block: `txn_snapshot_reads` and `mmap_zero_copy_reads`
+  /// count sub-blocks, added once per block.  `visit` may run under the
+  /// version and cache mutexes, so it must not call back into this
+  /// store, and it may run twice for one read (a mapped snapshot decode
+  /// whose revalidation fails is redone from the version path): each
+  /// call must first undo whatever a previous call produced.
+  template <typename Visit>
+  void read_block(int level, std::uint64_t block, const Snapshot* snap,
+                  std::uint64_t reads, Visit&& visit);
+  /// read_block for one sub-block: `visit(SubblockView)`.
   template <typename Visit>
   void read_subblock(int level, std::uint64_t subblock, const Snapshot* snap,
                      Visit&& visit);
+  /// Walks the chains in `steps` to their ends, one hop per round,
+  /// appending each slot's entries to `lists[slot]` in chain order.
+  void read_chains(std::vector<ChainStep>& steps, const Snapshot* snap,
+                   std::vector<std::vector<VertexId>>& lists);
+
   /// The snapshot of this store installed on the calling thread, or
   /// nullptr (always nullptr with snapshots disabled).
   [[nodiscard]] const Snapshot* active_snapshot() const {
     return snapshots_enabled_ ? SnapshotScope::active_for(this) : nullptr;
   }
+  /// One past the largest vertex id with a chain to read under `snap`
+  /// (the pinned extent, or the live one); ids at or past it read as the
+  /// empty set without touching storage.
+  [[nodiscard]] VertexId chain_extent(const Snapshot* snap) const;
   File& ensure_file(int level, std::uint64_t file_index);
   std::uint64_t allocate_subblock(int level);
   void release_subblock(int level, std::uint64_t subblock);

@@ -97,6 +97,10 @@ class HashMapDB final : public GraphDB {
     }
   }
 
+  /// The end of a bulk load is a commit boundary, as on every backend: a
+  /// snapshot pinned after it sees the whole load.
+  void finalize_ingest() override { flush(); }
+
   void flush() override {
     if (!snapshots_enabled_) return;
     std::unique_lock<std::shared_mutex> lock(mu_);

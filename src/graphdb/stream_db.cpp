@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cstring>
+#include <unordered_map>
+#include <unordered_set>
 
 #include "common/crc32c.hpp"
 #include "common/error.hpp"
@@ -179,13 +181,20 @@ void StreamDB::for_each_vertex(const std::function<bool(VertexId)>& visit) {
   }
 }
 
-void StreamDB::get_adjacency_batch(
-    std::span<const VertexId> fringe,
-    std::unordered_map<VertexId, std::vector<VertexId>>& out) {
-  const std::unordered_set<VertexId> wanted(fringe.begin(), fringe.end());
+void StreamDB::visit_adjacency(std::span<const VertexId> vertices,
+                               const AdjacencyVisitor& fn) {
+  if (vertices.empty()) return;
+  std::unordered_map<VertexId, std::vector<VertexId>> lists;
+  lists.reserve(vertices.size());
+  for (const VertexId v : vertices) lists.try_emplace(v);
   scan_prefix(scan_extent(), [&](const Edge& e) {
-    if (wanted.contains(e.src)) out[e.src].push_back(e.dst);
+    if (const auto it = lists.find(e.src); it != lists.end()) {
+      it->second.push_back(e.dst);
+    }
   });
+  for (const VertexId v : vertices) {
+    if (!fn(v, lists.find(v)->second)) return;
+  }
 }
 
 }  // namespace mssg

@@ -6,9 +6,10 @@
 // ingest speed in Figure 5.5.  Retrieval must scan the whole log, so
 // "any search algorithm which needs the adjacent vertices to another set
 // of vertices ... must post a request for all of the 'fringe' vertices
-// at once": get_adjacency_batch() is that API, and the BFS analysis
-// detects and uses it.  Single-vertex get_adjacency() works (a full scan
-// per call) to honour the GraphDB contract.
+// at once": GraphDB::visit_adjacency is that API for every backend, and
+// this one answers a whole frontier in one log scan.  Single-vertex
+// get_adjacency() works (a full scan per call) to honour the GraphDB
+// contract.
 //
 // Durability: a dual-slot commit sidecar ("stream.commit") records the
 // committed log length.  flush() appends + syncs the log, then commits
@@ -31,8 +32,6 @@
 #include <functional>
 #include <mutex>
 #include <optional>
-#include <unordered_map>
-#include <unordered_set>
 
 #include "graphdb/graphdb.hpp"
 #include "storage/file.hpp"
@@ -47,12 +46,10 @@ class StreamDB final : public GraphDB {
   void store_edges(std::span<const Edge> edges) override;
   void get_adjacency(VertexId v, std::vector<VertexId>& out) override;
 
-  /// One pass over the edge log, collecting the neighbors of every
-  /// fringe vertex.  Results append into `out[v]` for fringe vertices
-  /// that have at least one local neighbor.
-  void get_adjacency_batch(
-      std::span<const VertexId> fringe,
-      std::unordered_map<VertexId, std::vector<VertexId>>& out);
+  /// One pass over the edge log collects every requested list; `fn`
+  /// then sees them in request order, each in log order.
+  void visit_adjacency(std::span<const VertexId> vertices,
+                       const AdjacencyVisitor& fn) override;
 
   /// One full log scan collecting distinct sources.
   void for_each_vertex(const std::function<bool(VertexId)>& visit) override;

@@ -1,12 +1,9 @@
 #include "query/bfs.hpp"
 
-#include <unordered_map>
-
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/timer.hpp"
 #include "common/vertex_codec.hpp"
-#include "graphdb/stream_db.hpp"
 
 namespace mssg {
 
@@ -25,8 +22,7 @@ class BfsRun {
         db_(db),
         src_(src),
         dst_(dst),
-        options_(options),
-        stream_db_(dynamic_cast<StreamDB*>(&db)) {}
+        options_(options) {}
 
   BfsStats execute();
 
@@ -35,9 +31,10 @@ class BfsRun {
     return static_cast<Rank>(v % comm_.size());
   }
 
-  /// Expands the whole fringe against local storage, invoking
-  /// `discover(u)` for every adjacency entry.  Uses StreamDB's batch scan
-  /// when available (required: per-vertex lookups would rescan the log).
+  /// Expands the whole fringe against local storage in fringe order,
+  /// invoking `discover(u)` for every adjacency entry until it returns
+  /// true.  The fringe is posted at once (§4.1.5), so StreamDB scans its
+  /// log once per level.
   template <typename Discover>
   void expand_fringe(const std::vector<VertexId>& fringe, Discover&& discover);
 
@@ -76,7 +73,6 @@ class BfsRun {
   VertexId src_;
   VertexId dst_;
   const BfsOptions& options_;
-  StreamDB* stream_db_;
 
   BfsStats stats_;
   bool found_ = false;
@@ -108,29 +104,13 @@ template <typename Discover>
 void BfsRun::expand_fringe(const std::vector<VertexId>& fringe,
                            Discover&& discover) {
   stats_.vertices_expanded += fringe.size();
-  if (stream_db_ != nullptr) {
-    // "any search algorithm which needs the adjacent vertices to another
-    // set of vertices ... must post a request for all of the 'fringe'
-    // vertices at once" (§4.1.5).
-    std::unordered_map<VertexId, std::vector<VertexId>> batch;
-    stream_db_->get_adjacency_batch(fringe, batch);
-    for (const auto& [v, neighbors] : batch) {
-      for (const VertexId u : neighbors) {
-        ++stats_.edges_scanned;
-        if (discover(u)) return;
-      }
-    }
-    return;
-  }
-  std::vector<VertexId> neighbors;
-  for (const VertexId v : fringe) {
-    neighbors.clear();
-    db_.get_adjacency(v, neighbors);
-    for (const VertexId u : neighbors) {
+  db_.visit_adjacency(fringe, [&](VertexId, std::span<const VertexId> nbrs) {
+    for (const VertexId u : nbrs) {
       ++stats_.edges_scanned;
-      if (discover(u)) return;
+      if (discover(u)) return false;
     }
-  }
+    return true;
+  });
 }
 
 bool BfsRun::discover_plain(VertexId u, Metadata next_level) {

@@ -1,5 +1,7 @@
 #include "query/graph_stats_analysis.hpp"
 
+#include <algorithm>
+
 namespace mssg {
 
 DistributedGraphStats parallel_graph_stats(Communicator& comm, GraphDB& db) {
@@ -8,17 +10,19 @@ DistributedGraphStats parallel_graph_stats(Communicator& comm, GraphDB& db) {
   std::uint64_t min_degree = ~std::uint64_t{0};
   std::uint64_t max_degree = 0;
 
-  std::vector<VertexId> neighbors;
+  // Enumerate, then read every list back in one ascending frontier pass.
+  std::vector<VertexId> local;
   db.for_each_vertex([&](VertexId v) {
-    neighbors.clear();
-    db.get_adjacency(v, neighbors);
-    if (neighbors.empty()) return true;
+    local.push_back(v);
+    return true;
+  });
+  std::sort(local.begin(), local.end());
+  db.visit_adjacency(local, [&](VertexId, std::span<const VertexId> nbrs) {
+    if (nbrs.empty()) return true;
     ++vertices;
-    edges += neighbors.size();
-    min_degree = std::min(min_degree, static_cast<std::uint64_t>(
-                                          neighbors.size()));
-    max_degree = std::max(max_degree, static_cast<std::uint64_t>(
-                                          neighbors.size()));
+    edges += nbrs.size();
+    min_degree = std::min<std::uint64_t>(min_degree, nbrs.size());
+    max_degree = std::max<std::uint64_t>(max_degree, nbrs.size());
     return true;
   });
 

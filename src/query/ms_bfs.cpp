@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/timer.hpp"
-#include "graphdb/stream_db.hpp"
 #include "storage/mapped_file.hpp"
 
 namespace mssg {
@@ -28,8 +27,7 @@ class MsBfsRun {
         db_(db),
         sources_(sources),
         dst_(dst),
-        options_(options),
-        stream_db_(dynamic_cast<StreamDB*>(&db)) {}
+        options_(options) {}
 
   MsBfsStats execute();
 
@@ -62,7 +60,6 @@ class MsBfsRun {
   std::span<const VertexId> sources_;
   VertexId dst_;
   const MsBfsOptions& options_;
-  StreamDB* stream_db_;
 
   MsBfsStats stats_;
   std::uint64_t active_ = 0;      // sources still searching
@@ -76,7 +73,8 @@ class MsBfsRun {
   std::vector<std::unordered_map<VertexId, std::uint64_t>> buckets_;
   std::vector<std::uint64_t> discovered_local_;  // per source bit
   std::vector<VertexPair> pair_scratch_;
-  std::vector<VertexId> fetch_scratch_;
+  std::vector<VertexId> fetch_scratch_;       // the active frontier ids
+  std::vector<std::uint64_t> mask_scratch_;   // and their active masks
 };
 
 PayloadBuffer MsBfsRun::pack_pairs(std::vector<VertexPair>& pairs) {
@@ -132,53 +130,29 @@ void MsBfsRun::expand_frontier() {
   // and queries — so it stays on the cache and keeps its hit rate.
   std::optional<SequentialScanScope> scan_scope;
   if (sources_.size() > 1) scan_scope.emplace();
-  if (options_.prefetch) {
-    fetch_scratch_.clear();
-    for (const auto& [v, mask] : frontier_) {
-      if ((mask & active_) != 0) fetch_scratch_.push_back(v);
-    }
-    db_.prefetch(fetch_scratch_);
-  }
-  if (stream_db_ != nullptr) {
-    // StreamDB requires the batched call: per-vertex lookups would
-    // rescan the whole log once per frontier vertex (§4.1.5).
-    fetch_scratch_.clear();
-    for (const auto& [v, mask] : frontier_) {
-      if ((mask & active_) != 0) fetch_scratch_.push_back(v);
-    }
-    std::unordered_map<VertexId, std::vector<VertexId>> batch;
-    stream_db_->get_adjacency_batch(fetch_scratch_, batch);
-    for (const auto& [v, mask] : frontier_) {
-      const std::uint64_t m = mask & active_;
-      if (m == 0) continue;
-      ++stats_.adjacency_fetches;
-      stats_.shared_scans_saved +=
-          static_cast<std::uint64_t>(std::popcount(m)) - 1;
-      const auto it = batch.find(v);
-      if (it == batch.end()) continue;
-      for (const VertexId u : it->second) {
-        ++stats_.edges_scanned;
-        discover(u, m);
-      }
-    }
-    return;
-  }
-  std::vector<VertexId> neighbors;
+  fetch_scratch_.clear();
+  mask_scratch_.clear();
   for (const auto& [v, mask] : frontier_) {
-    const std::uint64_t m = mask & active_;
-    if (m == 0) continue;
+    if ((mask & active_) == 0) continue;
+    fetch_scratch_.push_back(v);
+    mask_scratch_.push_back(mask & active_);
+  }
+  if (options_.prefetch) db_.prefetch(fetch_scratch_);
+  std::size_t next = 0;
+  db_.visit_adjacency(fetch_scratch_, [&](VertexId,
+                                          std::span<const VertexId> nbrs) {
+    const std::uint64_t m = mask_scratch_[next++];
     // ONE adjacency fetch serves every source in the mask — the fetches
     // a per-source sweep would have repeated are the saving.
     ++stats_.adjacency_fetches;
     stats_.shared_scans_saved +=
         static_cast<std::uint64_t>(std::popcount(m)) - 1;
-    neighbors.clear();
-    db_.get_adjacency(v, neighbors);
-    for (const VertexId u : neighbors) {
+    for (const VertexId u : nbrs) {
       ++stats_.edges_scanned;
       discover(u, m);
     }
-  }
+    return true;
+  });
 }
 
 void MsBfsRun::exchange_fringe() {

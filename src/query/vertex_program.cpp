@@ -8,7 +8,6 @@
 #include "common/error.hpp"
 #include "common/metrics.hpp"
 #include "common/timer.hpp"
-#include "graphdb/stream_db.hpp"
 #include "storage/mapped_file.hpp"
 
 namespace mssg {
@@ -139,8 +138,7 @@ VertexProgramEngine::VertexProgramEngine(Communicator& comm, GraphDB& db,
                                          const VertexProgramOptions& options)
     : comm_(comm),
       db_(db),
-      options_(options),
-      stream_db_(dynamic_cast<StreamDB*>(&db)) {
+      options_(options) {
   info_.ranks = comm_.size();
   info_.rank = comm_.rank();
 }
@@ -217,30 +215,13 @@ PayloadBuffer VertexProgramEngine::pack_pairs(std::vector<VertexPair>& pairs) {
 
 void VertexProgramEngine::scatter_frontier(VertexProgram& program,
                                            Sink& sink) {
-  if (options_.prefetch && !frontier_.empty()) db_.prefetch(frontier_);
-  if (stream_db_ != nullptr) {
-    // StreamDB requires the batched call: per-vertex lookups would
-    // rescan the whole log once per frontier vertex (§4.1.5).
-    std::unordered_map<VertexId, std::vector<VertexId>> batch;
-    stream_db_->get_adjacency_batch(frontier_, batch);
-    static const std::vector<VertexId> kEmpty;
-    for (const VertexId v : frontier_) {
-      ++stats_.vertices_scattered;
-      const auto it = batch.find(v);
-      const std::vector<VertexId>& neighbors =
-          it == batch.end() ? kEmpty : it->second;
-      stats_.edges_scanned += neighbors.size();
-      program.scatter(v, state_[index_.at(v)], neighbors, sink);
-    }
-    return;
-  }
-  for (const VertexId v : frontier_) {
+  db_.visit_adjacency(frontier_, [&](VertexId v,
+                                     std::span<const VertexId> neighbors) {
     ++stats_.vertices_scattered;
-    adjacency_scratch_.clear();
-    db_.get_adjacency(v, adjacency_scratch_);
-    stats_.edges_scanned += adjacency_scratch_.size();
-    program.scatter(v, state_[index_.at(v)], adjacency_scratch_, sink);
-  }
+    stats_.edges_scanned += neighbors.size();
+    program.scatter(v, state_[index_.at(v)], neighbors, sink);
+    return true;
+  });
 }
 
 void VertexProgramEngine::exchange(Sink& sink) {
@@ -290,54 +271,63 @@ void VertexProgramEngine::apply_inbox(VertexProgram& program) {
   if (next_active_.size() < ids_.size()) next_active_.resize(ids_.size() * 2);
   next_active_.reset_all();
 
-  const bool needs_adjacency = program.apply_needs_adjacency();
-  const auto apply_one = [&](VertexId v,
-                             std::span<const std::uint64_t> values) {
-    const std::uint32_t slot = ensure_slot(program, v);
-    std::span<const VertexId> neighbors{};
-    if (needs_adjacency) {
-      adjacency_scratch_.clear();
-      db_.get_adjacency(v, adjacency_scratch_);
-      stats_.edges_scanned += adjacency_scratch_.size();
-      neighbors = adjacency_scratch_;
-    }
-    const bool activate = program.apply(v, state_[slot], values, neighbors);
-    if (activate && !next_active_.test_and_set(slot)) {
-      next_frontier_.push_back(v);
-    }
-  };
-
-  // Walk the sorted inbox in target runs.  Dense kernels additionally
-  // apply every message-less local vertex, merged in id order.
+  // The apply order: the sorted inbox's target runs, merged in id order
+  // with every message-less local vertex when the kernel is dense.  Each
+  // target keeps the end of its inbox run (equal ends: no messages).
+  apply_targets_.clear();
+  apply_run_ends_.clear();
   const std::vector<std::uint32_t>* dense_slots =
       program.dense() ? &sorted_slots() : nullptr;
   std::size_t dense_idx = 0;
-  const auto flush_dense_below = [&](VertexId limit) {
+  const auto add_dense_below = [&](VertexId limit, std::size_t run_end) {
     if (dense_slots == nullptr) return;
     while (dense_idx < dense_slots->size()) {
-      const std::uint32_t slot = (*dense_slots)[dense_idx];
-      if (ids_[slot] >= limit) break;
-      apply_one(ids_[slot], {});
+      const VertexId v = ids_[(*dense_slots)[dense_idx]];
+      if (v >= limit) break;
+      apply_targets_.push_back(v);
+      apply_run_ends_.push_back(run_end);
       ++dense_idx;
     }
   };
-
   std::size_t i = 0;
   while (i < inbox_.size()) {
     const VertexId target = inbox_[i].first;
-    value_scratch_.clear();
-    while (i < inbox_.size() && inbox_[i].first == target) {
-      value_scratch_.push_back(inbox_[i].second);
-      ++i;
-    }
-    flush_dense_below(target);
+    add_dense_below(target, i);
     if (dense_slots != nullptr && dense_idx < dense_slots->size() &&
         ids_[(*dense_slots)[dense_idx]] == target) {
       ++dense_idx;
     }
-    apply_one(target, value_scratch_);
+    while (i < inbox_.size() && inbox_[i].first == target) ++i;
+    apply_targets_.push_back(target);
+    apply_run_ends_.push_back(i);
   }
-  flush_dense_below(kInvalidVertex);
+  add_dense_below(kInvalidVertex, i);
+
+  std::size_t next_target = 0;
+  std::size_t run_begin = 0;
+  const auto apply_one = [&](VertexId v, std::span<const VertexId> neighbors) {
+    const std::size_t run_end = apply_run_ends_[next_target++];
+    value_scratch_.clear();
+    for (; run_begin < run_end; ++run_begin) {
+      value_scratch_.push_back(inbox_[run_begin].second);
+    }
+    const std::uint32_t slot = ensure_slot(program, v);
+    const bool activate = program.apply(v, state_[slot], value_scratch_,
+                                        neighbors);
+    if (activate && !next_active_.test_and_set(slot)) {
+      next_frontier_.push_back(v);
+    }
+    return true;
+  };
+  if (program.apply_needs_adjacency()) {
+    db_.visit_adjacency(apply_targets_, [&](VertexId v,
+                                            std::span<const VertexId> nbrs) {
+      stats_.edges_scanned += nbrs.size();
+      return apply_one(v, nbrs);
+    });
+  } else {
+    for (const VertexId v : apply_targets_) apply_one(v, {});
+  }
   inbox_.clear();
 }
 

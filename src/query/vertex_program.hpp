@@ -1,16 +1,17 @@
 // Semi-external-memory vertex-program engine (FlashGraph/Graphyti
 // style): vertex state lives in memory, edge lists stream from the
-// GraphDB through the BlockCache/IoEngine prefetch path, and algorithms
-// are expressed as per-superstep gather/apply/scatter kernels instead of
-// bespoke copies of the BFS skeleton.
+// GraphDB through its one frontier read primitive (visit_adjacency),
+// and algorithms are expressed as per-superstep gather/apply/scatter
+// kernels instead of bespoke copies of the BFS skeleton.
 //
 // Execution model (level-synchronous BSP):
 //
 //   superstep S:
 //     1. scatter  — every active vertex is expanded once, in ascending
-//                   id order; its adjacency list is fetched from the
-//                   GraphDB (batched on StreamDB, prefetched when
-//                   enabled) and the kernel emits (target, value)
+//                   id order; the whole frontier's adjacency streams
+//                   through GraphDB::visit_adjacency (one log scan on
+//                   StreamDB, one pin per block and window on grDB)
+//                   and the kernel emits (target, value)
 //                   messages into per-owner buckets; with a combiner,
 //                   a bucket is a hash table that combines same-target
 //                   messages as they are emitted.
@@ -57,14 +58,10 @@
 namespace mssg {
 
 class MetricsRegistry;
-class StreamDB;
 
 struct VertexProgramOptions {
   /// Wire format for the (vertex, value) message pairs.
   WireFormat wire = WireFormat::kDelta;
-  /// Hint each frontier to the GraphDB before expanding it (BlockCache /
-  /// IoEngine read-ahead).  A hint only: results are identical either way.
-  bool prefetch = true;
   /// Safety bound on supersteps.
   std::uint64_t max_supersteps = 100000;
   /// When set, publishes "vp.*" counters into this rank's registry.
@@ -226,7 +223,6 @@ class VertexProgramEngine {
   Communicator& comm_;
   GraphDB& db_;
   VertexProgramOptions options_;
-  StreamDB* stream_db_;
   VertexProgramInfo info_;
   VertexProgramStats stats_;
 
@@ -247,7 +243,9 @@ class VertexProgramEngine {
   DynamicBitset next_active_;
 
   std::vector<VertexPair> inbox_;
-  std::vector<VertexId> adjacency_scratch_;
+  // apply_inbox's order: target ids and the end of each one's inbox run.
+  std::vector<VertexId> apply_targets_;
+  std::vector<std::size_t> apply_run_ends_;
   std::vector<std::uint64_t> value_scratch_;
   std::vector<VertexId> activation_scratch_;
 };

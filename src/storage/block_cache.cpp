@@ -12,26 +12,30 @@
 namespace mssg {
 
 namespace {
-// The attribution sink for cache accesses made by this thread.  Set by
+// The innermost attribution scope on this thread.  Set by
 // CacheAttributionScope (the query scheduler installs one per query rank
-// thread); read on every get() and read().
-thread_local CacheAttribution* tls_attribution = nullptr;
+// thread); read on every pin.
+thread_local CacheAttributionScope* tls_scope = nullptr;
 
 void attribute(bool hit) {
-  if (CacheAttribution* attr = tls_attribution; attr != nullptr) {
-    (hit ? attr->hits : attr->misses).fetch_add(1, std::memory_order_relaxed);
+  if (CacheAttributionScope* scope = tls_scope; scope != nullptr) {
+    scope->count(hit);
   }
 }
 }  // namespace
 
 CacheAttributionScope::CacheAttributionScope(CacheAttribution* attribution)
-    : prev_(tls_attribution) {
-  tls_attribution = attribution;
+    : attribution_(attribution), prev_(tls_scope) {
+  tls_scope = this;
 }
 
-CacheAttributionScope::~CacheAttributionScope() { tls_attribution = prev_; }
-
-CacheAttribution* BlockCache::current_attribution() { return tls_attribution; }
+CacheAttributionScope::~CacheAttributionScope() {
+  tls_scope = prev_;
+  if (attribution_ != nullptr) {
+    attribution_->hits.fetch_add(hits_, std::memory_order_relaxed);
+    attribution_->misses.fetch_add(misses_, std::memory_order_relaxed);
+  }
+}
 
 BlockHandle::BlockHandle(BlockHandle&& other) noexcept
     : cache_(std::exchange(other.cache_, nullptr)),
@@ -227,6 +231,7 @@ detail::CacheEntry& BlockCache::pin_locked(std::unique_lock<std::mutex>& lock,
   const std::uint64_t key =
       (static_cast<std::uint64_t>(store) << kStoreShift) | block;
 
+  if (stats_ != nullptr) ++stats_->cache_pins;
   poll_async_locked();
   maybe_rethrow();
   auto it = map_.find(key);

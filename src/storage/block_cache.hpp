@@ -34,8 +34,9 @@
 //
 // Per-query attribution: a query thread installs a CacheAttributionScope
 // naming its CacheAttribution; every get() or read() on that thread then
-// also bumps the query-scoped hit/miss counters, giving the scheduler
-// per-query hit ratios over the *shared* cache.
+// also counts a query-scoped hit or miss (summed into the attribution
+// when the scope closes), giving the scheduler per-query hit ratios over
+// the *shared* cache.
 //
 // enable_async_io() attaches a background IoEngine without weakening the
 // locking rule — the owning thread resolves each block to a
@@ -174,7 +175,7 @@ struct AsyncTarget {
 
 /// Per-query cache counters.  One instance is shared by all of a query's
 /// rank threads (the counters are atomic), installed per thread with a
-/// CacheAttributionScope.
+/// CacheAttributionScope.  Read it after the scopes that feed it close.
 struct CacheAttribution {
   std::atomic<std::uint64_t> hits{0};
   std::atomic<std::uint64_t> misses{0};
@@ -188,6 +189,9 @@ struct CacheAttribution {
 
 /// RAII: routes this thread's cache hits/misses to `attribution` (may be
 /// nullptr to suspend attribution).  Nests; restores the previous scope.
+/// The scope counts in plain fields only its own thread touches and adds
+/// them to the shared atomics once, when it closes, so a query's rank
+/// threads never contend on one cache line per pin.
 class CacheAttributionScope {
  public:
   explicit CacheAttributionScope(CacheAttribution* attribution);
@@ -195,8 +199,15 @@ class CacheAttributionScope {
   CacheAttributionScope& operator=(const CacheAttributionScope&) = delete;
   ~CacheAttributionScope();
 
+  void count(bool hit) {
+    if (attribution_ != nullptr) ++(hit ? hits_ : misses_);
+  }
+
  private:
-  CacheAttribution* prev_;
+  CacheAttribution* attribution_;
+  CacheAttributionScope* prev_;
+  std::uint64_t hits_ = 0;
+  std::uint64_t misses_ = 0;
 };
 
 class BlockCache {
@@ -348,12 +359,8 @@ class BlockCache {
     return protected_bytes_;
   }
 
-  /// The attribution sink installed on this thread (nullptr when none).
-  [[nodiscard]] static CacheAttribution* current_attribution();
-
  private:
   friend class BlockHandle;
-  friend class CacheAttributionScope;
 
   struct Store {
     std::size_t block_size = 0;

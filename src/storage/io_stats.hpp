@@ -64,6 +64,8 @@ struct IoStats {
   detail::RelaxedCounter cache_hits;
   detail::RelaxedCounter cache_misses;
   detail::RelaxedCounter cache_evictions;
+  detail::RelaxedCounter cache_pins;  ///< block pins (get()/read() calls):
+                                      ///< one cache-lock acquisition each
   detail::RelaxedCounter cache_pin_leaks;  ///< blocks still pinned when their
                                            ///< cache was destroyed (leaks)
   detail::RelaxedCounter cache_probation_hits;  ///< 2Q: hits on first-touch
@@ -128,6 +130,7 @@ struct IoStats {
     cache_hits += other.cache_hits;
     cache_misses += other.cache_misses;
     cache_evictions += other.cache_evictions;
+    cache_pins += other.cache_pins;
     cache_pin_leaks += other.cache_pin_leaks;
     cache_probation_hits += other.cache_probation_hits;
     cache_protected_hits += other.cache_protected_hits;
@@ -175,6 +178,7 @@ inline void publish_io(const IoStats& s, MetricsSnapshot& snap,
   snap.add(p + ".cache_hits", s.cache_hits);
   snap.add(p + ".cache_misses", s.cache_misses);
   snap.add(p + ".cache_evictions", s.cache_evictions);
+  snap.add(p + ".cache_pins", s.cache_pins);
   snap.add(p + ".cache_pin_leaks", s.cache_pin_leaks);
   snap.add(p + ".prefetch_issued", s.prefetch_issued);
   snap.add(p + ".prefetch_hits", s.prefetch_hits);

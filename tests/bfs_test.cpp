@@ -130,6 +130,34 @@ INSTANTIATE_TEST_SUITE_P(
         BfsCase{Backend::kHashMap, 16, false, true}),
     case_name);
 
+// Every backend expands a fringe in fringe order, StreamDB included, so
+// its Algorithm 1 counters (edges scanned before the early stop) match a
+// backend holding the same per-vertex adjacency order: StreamDB keeps log
+// order and HashMap insertion order.
+TEST(ParallelBfsEdgeCases, StreamDbStatsMatchSameOrderBackend) {
+  ChungLuConfig config{.vertices = 300, .edges = 1200, .seed = 55};
+  const auto edges = generate_chung_lu(config);
+  const MemoryGraph reference(config.vertices, edges);
+  const auto pairs = sample_random_pairs(reference, 10, 77);
+  ASSERT_FALSE(pairs.empty());
+  for (const bool map_known : {true, false}) {
+    MiniCluster stream(Backend::kStream, 4, edges, map_known);
+    MiniCluster hashmap(Backend::kHashMap, 4, edges, map_known);
+    BfsOptions options;
+    options.map_known = map_known;
+    for (const auto& pair : pairs) {
+      const BfsStats a = stream.run(pair.src, pair.dst, options);
+      const BfsStats b = hashmap.run(pair.src, pair.dst, options);
+      EXPECT_EQ(a.distance, pair.distance);
+      EXPECT_EQ(a.distance, b.distance);
+      EXPECT_EQ(a.levels, b.levels);
+      EXPECT_EQ(a.vertices_expanded, b.vertices_expanded);
+      EXPECT_EQ(a.edges_scanned, b.edges_scanned)
+          << pair.src << "->" << pair.dst << (map_known ? " mapped" : " bcast");
+    }
+  }
+}
+
 TEST(ParallelBfsEdgeCases, SourceEqualsDestination) {
   const std::vector<Edge> edges{{0, 1}};
   MiniCluster cluster(Backend::kHashMap, 2, edges, true);

@@ -3,12 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <unordered_map>
+#include <set>
+#include <tuple>
 
 #include "common/error.hpp"
 #include "gen/generators.hpp"
 #include "gen/memory_graph.hpp"
-#include "graphdb/stream_db.hpp"
+#include "graphdb/grdb/grdb.hpp"
 #include "storage/fault_injector.hpp"
 #include "test_util.hpp"
 
@@ -176,6 +177,114 @@ TEST_P(GraphDBContract, HighDegreeHubRoundTrips) {
   for (VertexId i = 1; i <= 40'000; ++i) ASSERT_EQ(s[i - 1], i);
 }
 
+// visit_adjacency answers a frontier with exactly get_adjacency's lists,
+// in frontier order: on live state, under a pinned snapshot that commits
+// have moved past, with an early stop, and for ids beyond the extent.
+TEST_P(GraphDBContract, VisitAdjacencyMatchesGetAdjacency) {
+  using Lists = std::vector<std::pair<VertexId, std::vector<VertexId>>>;
+  const auto visit = [](GraphDB& db, std::span<const VertexId> frontier,
+                        std::size_t stop_after = ~std::size_t{0}) {
+    Lists got;
+    db.visit_adjacency(frontier, [&](VertexId v, std::span<const VertexId> n) {
+      got.emplace_back(v, std::vector<VertexId>(n.begin(), n.end()));
+      return got.size() < stop_after;
+    });
+    return got;
+  };
+  const auto lookup = [](GraphDB& db, std::span<const VertexId> frontier) {
+    Lists want;
+    for (const VertexId v : frontier) {
+      want.emplace_back(v, std::vector<VertexId>{});
+      db.get_adjacency(v, want.back().second);
+    }
+    return want;
+  };
+  // A skewed graph whose chains cross several grDB levels, split over two
+  // commits; the frontier spans more than one grDB window and ends past
+  // the extent.
+  constexpr VertexId kVertices = 700;
+  ChungLuConfig config{.vertices = kVertices, .edges = 6000, .seed = 29};
+  const auto edges = generate_chung_lu(config);
+  const auto half = static_cast<std::ptrdiff_t>(edges.size() / 2);
+  std::vector<VertexId> frontier;
+  for (VertexId v = 0; v < kVertices; v += 2) frontier.push_back(v);
+  for (VertexId v = 1; v < kVertices; v += 3) frontier.push_back(v);
+  std::sort(frontier.begin(), frontier.end());
+  frontier.erase(std::unique(frontier.begin(), frontier.end()),
+                 frontier.end());
+  frontier.push_back(kVertices + 5);
+  frontier.push_back(900'000);
+
+  TempDir dir;
+  GraphDBConfig snapshots;
+  snapshots.snapshots = true;
+  auto db = make_db(GetParam(), dir, snapshots);
+  db->store_edges(std::span(edges.begin(), edges.begin() + half));
+  db->flush();
+  const SnapshotRef pin = db->begin_snapshot();
+  Lists pinned;
+  {
+    SnapshotScope scope(pin);
+    pinned = lookup(*db, frontier);
+  }
+  // Array's CSR is immutable after finalize; its staging phase takes the
+  // later commit instead.
+  db->store_edges(std::span(edges.begin() + half, edges.end()));
+  if (GetParam() == Backend::kArray) {
+    db->flush();
+  } else {
+    db->finalize_ingest();
+  }
+
+  const Lists live = lookup(*db, frontier);
+  ASSERT_EQ(visit(*db, frontier), live) << "live state";
+  std::size_t stored = 0;
+  for (const auto& [v, list] : live) stored += list.empty() ? 0 : 1;
+  ASSERT_GT(stored, frontier.size() / 2);
+  EXPECT_TRUE(live[live.size() - 2].second.empty()) << "beyond the extent";
+  EXPECT_TRUE(live.back().second.empty()) << "beyond the extent";
+
+  // Any order is served, in that order.
+  std::vector<VertexId> reversed(frontier.rbegin(), frontier.rend());
+  EXPECT_EQ(visit(*db, reversed), lookup(*db, reversed)) << "reversed";
+
+  // Early stop: exactly the visits before the stop, then nothing.
+  const Lists stopped = visit(*db, frontier, 300);
+  ASSERT_EQ(stopped.size(), 300u);
+  EXPECT_TRUE(std::equal(stopped.begin(), stopped.end(), live.begin()));
+
+  // The pinned epoch, with a commit after the pin.
+  SnapshotScope scope(pin);
+  EXPECT_EQ(lookup(*db, frontier), pinned) << "snapshot drifted";
+  EXPECT_EQ(visit(*db, frontier), pinned) << "pinned snapshot";
+  EXPECT_NE(pinned, live);
+}
+
+// A bulk load that ends in finalize_ingest() is committed on every
+// backend: a snapshot pinned right after it sees the whole load.
+TEST_P(GraphDBContract, SnapshotAfterFinalizeIngestSeesWholeLoad) {
+  TempDir dir;
+  GraphDBConfig snapshots;
+  snapshots.snapshots = true;
+  auto db = make_db(GetParam(), dir, snapshots);
+  ChungLuConfig config{.vertices = 200, .edges = 1000, .seed = 31};
+  const auto edges = generate_chung_lu(config);
+  db->store_edges(edges);
+  db->finalize_ingest();
+
+  std::vector<std::vector<VertexId>> live(config.vertices);
+  for (VertexId v = 0; v < config.vertices; ++v) db->get_adjacency(v, live[v]);
+  SnapshotScope scope(db->begin_snapshot());
+  std::uint64_t entries = 0;
+  for (VertexId v = 0; v < config.vertices; ++v) {
+    std::vector<VertexId> out;
+    db->get_adjacency(v, out);
+    ASSERT_EQ(out, live[v]) << "vertex " << v << " on " << db->name();
+    entries += out.size();
+  }
+  EXPECT_EQ(entries, edges.size());
+}
+
 TEST_P(GraphDBContract, NameIsStable) {
   EXPECT_EQ(db_->name(), to_string(GetParam()));
 }
@@ -333,27 +442,68 @@ INSTANTIATE_TEST_SUITE_P(CachedBackends, GraphDBNoCache,
                                0, to_string(param_info.param).find('('));
                          });
 
-// StreamDB's batch API — the interface its BFS integration depends on.
-TEST(StreamDBBatch, BatchMatchesPerVertexLookups) {
+// StreamDB answers a whole frontier in one log scan, in request order
+// (duplicates and unknown ids included), each list in log order.
+TEST(StreamDBBatch, VisitMatchesPerVertexLookups) {
   TempDir dir;
   GraphDBConfig config;
   config.dir = dir.path();
-  auto base = make_graphdb(Backend::kStream, config);
-  auto* db = dynamic_cast<StreamDB*>(base.get());
-  ASSERT_NE(db, nullptr);
+  auto db = make_graphdb(Backend::kStream, config);
 
   db->store_edges(
       std::vector<Edge>{{1, 2}, {1, 3}, {2, 4}, {3, 4}, {5, 1}, {2, 5}});
   db->finalize_ingest();
 
-  const std::vector<VertexId> fringe{1, 2, 99};
-  std::unordered_map<VertexId, std::vector<VertexId>> batch;
-  db->get_adjacency_batch(fringe, batch);
+  const std::vector<VertexId> fringe{2, 1, 99, 2};
+  std::vector<std::pair<VertexId, std::vector<VertexId>>> seen;
+  const std::uint64_t reads_before = db->io_stats().reads;
+  db->visit_adjacency(fringe, [&](VertexId v, std::span<const VertexId> n) {
+    seen.emplace_back(v, std::vector<VertexId>(n.begin(), n.end()));
+    return true;
+  });
+  EXPECT_EQ(db->io_stats().reads - reads_before, 1u) << "one log scan";
+  const std::vector<std::pair<VertexId, std::vector<VertexId>>> want{
+      {2, {4, 5}}, {1, {2, 3}}, {99, {}}, {2, {4, 5}}};
+  EXPECT_EQ(seen, want);
+}
 
-  EXPECT_EQ(sorted(batch.at(1)), (std::vector<VertexId>{2, 3}));
-  EXPECT_EQ(sorted(batch.at(2)), (std::vector<VertexId>{4, 5}));
-  EXPECT_FALSE(batch.contains(99));
-  EXPECT_FALSE(batch.contains(3));
+// grDB pins each distinct (round, level, block) of a window exactly once,
+// and the count is a function of the input alone.
+TEST(GrDBVisit, WindowPinsEachBlockOnce) {
+  TempDir dir;
+  GraphDBConfig config;
+  config.dir = dir.path();
+  auto base = make_graphdb(Backend::kGrDB, config);
+  auto* db = dynamic_cast<GrDB*>(base.get());
+  ASSERT_NE(db, nullptr);
+  ChungLuConfig gen{.vertices = 2000, .edges = 30000, .seed = 37};
+  db->store_edges(generate_chung_lu(gen));
+  db->finalize_ingest();
+
+  std::vector<VertexId> window(GrDB::kVisitWindow);
+  for (VertexId v = 0; v < window.size(); ++v) window[v] = 3 * v;
+  const grdb::Geometry geometry = grdb::Geometry::standard();
+  std::set<std::tuple<std::size_t, int, std::uint64_t>> blocks;
+  std::uint64_t subblocks = 0;
+  for (const VertexId v : window) {
+    const auto chain = db->chain_of(v);
+    subblocks += chain.size();
+    for (std::size_t hop = 0; hop < chain.size(); ++hop) {
+      const auto [level, subblock] = chain[hop];
+      blocks.emplace(hop, level,
+                     subblock / geometry.levels[level].subblocks_per_block());
+    }
+  }
+  ASSERT_LT(blocks.size() * 4, subblocks) << "chains too short to group";
+
+  const auto pins = [&] {
+    const std::uint64_t before = db->io_stats().cache_pins;
+    db->visit_adjacency(window,
+                        [](VertexId, std::span<const VertexId>) { return true; });
+    return db->io_stats().cache_pins - before;
+  };
+  EXPECT_EQ(pins(), blocks.size());
+  EXPECT_EQ(pins(), blocks.size());
 }
 
 }  // namespace

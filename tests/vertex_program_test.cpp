@@ -986,6 +986,28 @@ TEST(AnalyticsScheduler, ZeroBudgetFailsAdmissionCleanly) {
   EXPECT_EQ(snap.counters.at("sched.truncated"), 1u);
 }
 
+// A two-rank query's attributed hits and misses are exactly the pins its
+// rank threads made: each thread counts privately and adds its totals to
+// the shared attribution once, when its scope closes.
+TEST(AnalyticsScheduler, AttributionEqualsPinsOfTwoRankQuery) {
+  const auto edges = test_graph(300, 1200, 21);
+  ClusterConfig config;
+  config.backend = Backend::kGrDB;
+  config.backend_nodes = 2;
+  config.db.cache_bytes = 32 << 10;  // small: hits and misses both occur
+  MssgCluster cluster(config);
+  cluster.ingest(edges);
+
+  const std::uint64_t pins_before = cluster.total_io().cache_pins;
+  const QueryOutcome out =
+      cluster.await_query(cluster.submit_analysis("lp-cc", {}));
+  ASSERT_TRUE(out.ok()) << out.error;
+  const std::uint64_t pins = cluster.total_io().cache_pins - pins_before;
+  EXPECT_GT(out.cache_hits, 0u);
+  EXPECT_GT(out.cache_misses, 0u);
+  EXPECT_EQ(out.cache_hits + out.cache_misses, pins);
+}
+
 TEST(AnalyticsScheduler, FailingQueryStillMergesItsAccounting) {
   const auto edges = test_graph(100, 300, 9);
   ClusterConfig config;

@@ -87,6 +87,11 @@ FILTER+=':Crc32c.*:SnapshotCowGrdb.DeepSubblockReadsKeepTheirOffsets'
 # the VertexProgram engine on every rank thread and publishes its vp.*
 # counters into the per-rank registries from those threads.
 FILTER+=':ConnectedComponents.*:CcBackends.*'
+# The frontier read primitive (GraphDB::visit_adjacency): grDB decodes
+# many sub-blocks out of one pinned block at computed offsets, and every
+# backend's contract suite checks it against get_adjacency, live and
+# under a pinned snapshot.
+FILTER+=':*GraphDBContract*:GrDBVisit.*:StreamDBBatch.*'
 export MSSG_CRASH_SWEEP_STRIDE="${MSSG_CRASH_SWEEP_STRIDE:-7}"
 
 run_preset() {
